@@ -9,13 +9,13 @@ import numpy as np
 
 from .acceptance import run_all
 from .chains import chain_from_rates, preset_chain
-from .connection import GeodesicPath, geodesic_bvp, geodesic_ivp, parallel_transport
+from .connection import GeodesicPath, _speed, geodesic_bvp, geodesic_ivp, parallel_transport
 from .curvature import curvature_report
 from .dynamics import integrate
 from .errors import OnsagerGeoError
 from .lattice3 import SWEEP_COLUMNS, lattice3_sweep
-from .metric import mean_zero, response_matrix
-from .mobility import model_from_spec
+from .metric import mean_zero
+from .mobility import as_simplex_point, model_from_spec
 
 
 class ConfigError(Exception):
@@ -68,6 +68,14 @@ def get_vector(cfg, key, length=None):
     if length is not None and arr.shape != (length,):
         raise ConfigError(f"config key '{key}' must have length {length}")
     return arr
+
+
+def get_point(cfg, key, n):
+    """A config vector of n probabilities that sums to one within 1e-12."""
+    try:
+        return as_simplex_point(get_vector(cfg, key, n))
+    except ValueError as exc:
+        raise ConfigError(f"config key '{key}': {exc}") from None
 
 
 def get_number(cfg, key, default):
@@ -168,7 +176,7 @@ def cmd_analyze(args):
     check_keys(cfg, _COMMON_KEYS | {"point"})
     chain = build_chain(cfg, args.preset)
     model = build_model(cfg)
-    point = get_vector(cfg, "point", chain.n)
+    point = get_point(cfg, "point", chain.n)
     report = curvature_report(chain, model, point)
     payload = {
         "point": report.point,
@@ -188,7 +196,7 @@ def cmd_simulate(args):
     check_keys(cfg, _COMMON_KEYS | {"p0", "T", "dt"})
     chain = build_chain(cfg, args.preset)
     model = build_model(cfg)
-    p0 = get_vector(cfg, "p0", chain.n)
+    p0 = get_point(cfg, "p0", chain.n)
     T = get_number(cfg, "T", 1.0)
     dt = get_number(cfg, "dt", 1e-3)
     traj = integrate(chain, model, p0, T, dt)
@@ -214,11 +222,11 @@ def cmd_geodesic(args):
     check_keys(cfg, _COMMON_KEYS | {"p0", "p1", "phi0", "T", "dt", "nsteps"})
     chain = build_chain(cfg, args.preset)
     model = build_model(cfg)
-    p0 = get_vector(cfg, "p0", chain.n)
+    p0 = get_point(cfg, "p0", chain.n)
     if "p1" in cfg and "phi0" in cfg:
         raise ConfigError("give either 'phi0' (initial value) or 'p1' (two-point), not both")
     if "p1" in cfg:
-        p1 = get_vector(cfg, "p1", chain.n)
+        p1 = get_point(cfg, "p1", chain.n)
         nsteps = cfg.get("nsteps", 100)
         if not isinstance(nsteps, int) or isinstance(nsteps, bool) or nsteps < 1:
             raise ConfigError("config key 'nsteps' must be a positive integer")
@@ -238,7 +246,7 @@ def cmd_transport(args):
     check_keys(cfg, _COMMON_KEYS | {"p0", "phi0", "eta0", "T", "dt"})
     chain = build_chain(cfg, args.preset)
     model = build_model(cfg)
-    p0 = get_vector(cfg, "p0", chain.n)
+    p0 = get_point(cfg, "p0", chain.n)
     phi0 = mean_zero(get_vector(cfg, "phi0", chain.n))
     eta0 = get_vector(cfg, "eta0", chain.n)
     T = get_number(cfg, "T", 1.0)
@@ -248,11 +256,9 @@ def cmd_transport(args):
     header = (["t"] + [f"gamma{i + 1}" for i in range(n)]
               + [f"phi{i + 1}" for i in range(n)]
               + [f"eta{i + 1}" for i in range(n)] + ["speed"])
-    rows = []
-    for st in states:
-        L = response_matrix(chain, model.theta_matrix(chain, st.gamma))
-        speed = np.sqrt(max(st.phi @ L @ st.phi, 0.0))
-        rows.append(np.concatenate([[st.t], st.gamma, st.phi, st.eta, [speed]]))
+    rows = [np.concatenate([[st.t], st.gamma, st.phi, st.eta,
+                            [_speed(chain, model, st.gamma, st.phi)]])
+            for st in states]
     emit(csv_text(header, rows), args.out or cfg.get("out"))
     return 0
 

@@ -3,12 +3,13 @@ coupling operator Gamma, the Levi-Civita connection, parallel transport,
 geodesics (initial- and boundary-value), and Hessian forms."""
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
 from .chains import grad_matrix
-from .dynamics import Energy, advance_interior, rk4_step
+from .dynamics import Energy, _time_grid, advance_interior, rk4_step
 from .errors import BvpNoConvergence, OnsagerGeoError
 from .metric import (
     curve_velocity,
@@ -27,34 +28,98 @@ def contract_d1(d1, vec):
     return d1 * vec[:, None] + d1.T * vec[None, :]
 
 
+class PointGeometry:
+    """The per-point ingredients of every covariant formula: theta, its first
+    partials D1 and L(theta) at p, from one model evaluation.  The metric
+    R = L^+ and the second partials (S_ii, S_ij) are computed on first use.
+
+    Potentials passed to the methods are float arrays of length n.  The
+    model's evaluation validates p.
+    """
+
+    def __init__(self, chain, model, p):
+        self.chain = chain
+        self.model = model
+        self.p = np.asarray(p, dtype=float)
+        self.theta, self.d1 = model.theta_d1_matrices(chain, self.p)
+        self.L = response_matrix(chain, self.theta)
+        self._dL = {}
+
+    @cached_property
+    def R(self):
+        return pseudo_inverse(self.L)
+
+    @cached_property
+    def d2(self):
+        """(S_ii, S_ij), as model.d2_matrices."""
+        return self.model.d2_matrices(self.chain, self.p)
+
+    def velocity(self, phi):
+        """The tangent vector V_phi = L(theta) phi."""
+        return self.L @ phi
+
+    def dtheta(self, v):
+        """Directional derivative of theta along the vertex vector v."""
+        return contract_d1(self.d1, v)
+
+    def L_of(self, M):
+        """The response matrix of a symmetric edge matrix M."""
+        return response_matrix(self.chain, M)
+
+    def dL(self, phi):
+        """L(V_phi theta), the derivative of L(theta) along V_phi.  Kept per
+        potential: the frame-tensor loops pass the same k potentials k^4 times."""
+        key = phi.tobytes()
+        if key not in self._dL:
+            self._dL[key] = self.L_of(self.dtheta(self.velocity(phi)))
+        return self._dL[key]
+
+    def gamma(self, phi, psi):
+        """Gamma(phi, psi)_i = sum_j (grad phi)_ij (grad psi)_ij dtheta_ij/dp_i."""
+        g = grad_matrix(self.chain, phi)
+        h = g if psi is phi else grad_matrix(self.chain, psi)
+        return (g * h * self.d1).sum(axis=1)
+
+    def commutator(self, phi1, phi2):
+        """[V1, V2] = L(V_1 theta) phi2 - L(V_2 theta) phi1."""
+        return self.dL(phi1) @ phi2 - self.dL(phi2) @ phi1
+
+    def second_theta(self, phi_a, phi_b):
+        """W: the mixed second derivative of theta along V_a, V_b frozen."""
+        s_ii, s_ij = self.d2
+        va, vb = self.velocity(phi_a), self.velocity(phi_b)
+        dd_i = s_ii * vb[:, None] + s_ij * vb[None, :]
+        dd_j = s_ij * vb[:, None] + s_ii.T * vb[None, :]
+        return dd_i * va[:, None] + dd_j * va[None, :]
+
+    def nabla_theta_L(self, phi_a, phi_b):
+        """dtheta contracted with L(V_a theta) phi_b."""
+        return self.dtheta(self.dL(phi_a) @ phi_b)
+
+    def m(self, phi_a, phi_b):
+        """m = -2W - dtheta(L(V_a theta) phi_b) - dtheta(L(V_b theta) phi_a)."""
+        return (-2.0 * self.second_theta(phi_a, phi_b)
+                - self.nabla_theta_L(phi_a, phi_b)
+                - self.nabla_theta_L(phi_b, phi_a))
+
+
 def directional_theta(chain, model, phi, p):
     """First directional derivative of theta along V_phi (symmetric edge matrix)."""
-    theta_mat = model.theta_matrix(chain, p)
-    d1 = model.d1_matrix(chain, p)
-    v = response_matrix(chain, theta_mat) @ np.asarray(phi, dtype=float)
-    return contract_d1(d1, v)
+    geo = PointGeometry(chain, model, p)
+    return geo.dtheta(geo.velocity(np.asarray(phi, dtype=float)))
 
 
 def gamma_op(chain, model, phi1, phi2, p):
     """Gamma(phi1, phi2, p)_i = sum_j (grad phi1)_ij (grad phi2)_ij dtheta_ij/dp_i."""
-    d1 = model.d1_matrix(chain, p)
-    g1 = grad_matrix(chain, np.asarray(phi1, dtype=float))
-    g2 = grad_matrix(chain, np.asarray(phi2, dtype=float))
-    return (g1 * g2 * d1).sum(axis=1)
+    return PointGeometry(chain, model, p).gamma(np.asarray(phi1, dtype=float),
+                                                np.asarray(phi2, dtype=float))
 
 
 def commutator(chain, model, phi1, phi2, p):
     """Lie bracket of the fields V_phi1, V_phi2 (potentials held fixed):
     [V1, V2] = L(V_1 theta) phi2 - L(V_2 theta) phi1."""
-    theta_mat = model.theta_matrix(chain, p)
-    d1 = model.d1_matrix(chain, p)
-    L = response_matrix(chain, theta_mat)
-    v1 = L @ np.asarray(phi1, dtype=float)
-    v2 = L @ np.asarray(phi2, dtype=float)
-    return (
-        response_matrix(chain, contract_d1(d1, v1)) @ phi2
-        - response_matrix(chain, contract_d1(d1, v2)) @ phi1
-    )
+    return PointGeometry(chain, model, p).commutator(np.asarray(phi1, dtype=float),
+                                                     np.asarray(phi2, dtype=float))
 
 
 @dataclass
@@ -68,22 +133,14 @@ class ConnectionValue:
 
 def levi_civita(chain, model, phi1, phi2, p, phi3=None) -> ConnectionValue:
     """nabla_{V1} V2 = 1/2 ( L(V_1 theta) phi2 - L(V_2 theta) phi1
-    + L(theta) Gamma(phi1, phi2, p) ); with phi3 the scalar form <nabla_1 2, V3>."""
-    theta_mat = model.theta_matrix(chain, p)
-    d1 = model.d1_matrix(chain, p)
-    L = response_matrix(chain, theta_mat)
+    + L(theta) Gamma(phi1, phi2, p) ); with phi3 the scalar form <nabla_1 2, V3>.
+
+    The reference for the W-form transport rate `_transport_rate`, which
+    never calls it."""
+    geo = PointGeometry(chain, model, p)
     phi1 = np.asarray(phi1, dtype=float)
     phi2 = np.asarray(phi2, dtype=float)
-    v1 = L @ phi1
-    v2 = L @ phi2
-    g1 = grad_matrix(chain, phi1)
-    g2 = grad_matrix(chain, phi2)
-    gam = (g1 * g2 * d1).sum(axis=1)
-    vec = 0.5 * (
-        response_matrix(chain, contract_d1(d1, v1)) @ phi2
-        - response_matrix(chain, contract_d1(d1, v2)) @ phi1
-        + L @ gam
-    )
+    vec = 0.5 * (geo.commutator(phi1, phi2) + geo.L @ geo.gamma(phi1, phi2))
     scalar = None
     if phi3 is not None:
         # <vec, V3> = vec^T R L phi3 = vec^T phi3 because vec is mean-orthogonal
@@ -94,12 +151,11 @@ def levi_civita(chain, model, phi1, phi2, p, phi3=None) -> ConnectionValue:
 def koszul_scalar(chain, model, phi1, phi2, phi3, p):
     """<nabla_{V1} V2, V3> written purely through Gamma:
     1/2 ( phi1^T L Gamma(2,3) - phi2^T L Gamma(1,3) + phi3^T L Gamma(1,2) )."""
-    theta_mat = model.theta_matrix(chain, p)
-    L = response_matrix(chain, theta_mat)
-    g13 = gamma_op(chain, model, phi2, phi3, p)
-    g23 = gamma_op(chain, model, phi1, phi3, p)
-    g12 = gamma_op(chain, model, phi1, phi2, p)
-    return 0.5 * float(phi1 @ L @ g13 - phi2 @ L @ g23 + phi3 @ L @ g12)
+    geo = PointGeometry(chain, model, p)
+    phi1, phi2, phi3 = (np.asarray(f, dtype=float) for f in (phi1, phi2, phi3))
+    return 0.5 * float(phi1 @ geo.L @ geo.gamma(phi2, phi3)
+                       - phi2 @ geo.L @ geo.gamma(phi1, phi3)
+                       + phi3 @ geo.L @ geo.gamma(phi1, phi2))
 
 
 # -- geodesics -----------------------------------------------------------------
@@ -115,20 +171,10 @@ class GeodesicRecord:
         return self.states[-1]
 
 
-def _geodesic_rhs(chain, model):
-    n = chain.n
-
-    def f(y):
-        p = y[:n]
-        phi = y[n:]
-        theta_mat, d1 = model.theta_d1_matrices(chain, p)
-        L = response_matrix(chain, theta_mat)
-        g = grad_matrix(chain, phi)
-        dgamma = L @ phi
-        dphi = -0.5 * (g * g * d1).sum(axis=1)
-        return np.concatenate([dgamma, dphi])
-
-    return f
+def _geodesic_rate(geo, phi):
+    """(dgamma/dt, dPhi/dt) = (L(theta) Phi, -1/2 Gamma(Phi, Phi)) at the
+    bundle's point."""
+    return geo.velocity(phi), -0.5 * geo.gamma(phi, phi)
 
 
 def _speed(chain, model, p, phi):
@@ -140,12 +186,10 @@ def geodesic_ivp(chain, model, p0, phi0, T, dt) -> GeodesicRecord:
     """Integrate the geodesic system
     dgamma/dt = L(theta) Phi,   dPhi_i/dt = -1/2 sum_j (grad Phi)_ij^2 dtheta_ij/dp_i
     with RK4, projecting Phi to mean zero after every step."""
-    from .dynamics import _time_grid
-
     n = chain.n
     p0 = check_interior(p0)
     phi0 = mean_zero(phi0)
-    f = _geodesic_rhs(chain, model)
+    f = lambda y: np.concatenate(_geodesic_rate(PointGeometry(chain, model, y[:n]), y[n:]))
     is_ok = lambda y: bool((y[:n] >= EPS_BOUNDARY).all())
     times = _time_grid(T, dt)
     states = np.empty((len(times), n))
@@ -203,8 +247,7 @@ def geodesic_bvp(chain, model, p0, p1, nsteps=100, tol=1e-9, max_iter=50,
         norm = np.abs(r).max()
         for _ in range(max_iter):
             if norm < tol:
-                length = float(np.trapezoid(rec.speeds, rec.times))
-                return B @ x, rec, length
+                break
             J = np.empty((n - 1, n - 1))
             h = 1e-7 * (1.0 + np.abs(x).max())
             failed = False
@@ -273,30 +316,24 @@ class SampledPath:
     states: np.ndarray
 
 
-def _transport_rate(chain, model, p, phi, eta, pre=None):
+def _transport_rate(geo, phi, eta):
     """d eta/dt = -1/2 R(theta) [ L(V_phi theta) eta - L(V_eta theta) phi
-    + L(theta) Gamma(phi, eta) ];  eta may hold several columns.
+    + L(theta) Gamma(phi, eta) ] at the bundle's point;  eta may hold several
+    columns.
 
-    `pre`, when given, carries (theta, D1, L) already evaluated at p so the
-    joint geodesic+transport integrator does the model work once per stage.
-    The metric action R(...) on the mean-zero bracket is taken by a
-    kernel-deflated solve rather than an eigendecomposition.
+    Written in the W-form below and checked against `levi_civita`, which is
+    its reference.  The metric action R(...) on the mean-zero bracket is taken
+    by a kernel-deflated solve rather than an eigendecomposition.
     """
-    if pre is None:
-        theta_mat, d1 = model.theta_d1_matrices(chain, p)
-        L = response_matrix(chain, theta_mat)
-    else:
-        theta_mat, d1, L = pre
-    v_phi = L @ phi
-    A = response_matrix(chain, contract_d1(d1, v_phi))
-    V = L @ eta
+    L = geo.L
     # W_ij = omega_ij D1_ij (phi_i - phi_j) collects every phi-weighted theta
-    # sensitivity; both remaining terms contract it against the eta columns:
-    #   L(V_eta theta) phi = rowsum(W) o V - W^T V
-    #   Gamma(phi, eta)    = rowsum(W) o eta - W eta
-    W = chain.omega * d1 * (phi[:, None] - phi[None, :])
-    r = W.sum(axis=1)[:, None]
-    bracket = A @ eta - (r * V - W.T @ V) + L @ (r * eta - W @ eta)
+    # sensitivity; with K = diag(rowsum W) - W both remaining terms are
+    # products with the eta columns:
+    #   L(V_eta theta) phi = K^T L eta,   Gamma(phi, eta) = K eta
+    W = geo.chain.omega * geo.d1 * (phi[:, None] - phi[None, :])
+    K = -W
+    np.fill_diagonal(K, W.sum(axis=1))
+    bracket = geo.dL(phi) @ eta - K.T @ (L @ eta) + L @ (K @ eta)
     return -0.5 * deflated_solve(L, bracket)
 
 
@@ -314,40 +351,29 @@ def parallel_transport(chain, model, path, eta0, dt):
     H -= H.mean(axis=0)
     n = chain.n
 
-    if isinstance(path, GeodesicPath):
-        from .dynamics import _time_grid
+    def state(t, gamma, phi, eta):
+        return TransportState(float(t), gamma, phi, eta[:, 0].copy() if single else eta.copy())
 
+    if isinstance(path, GeodesicPath):
         p0 = check_interior(path.p0)
         phi0 = mean_zero(path.phi0)
-        m = H.shape[1]
 
         def f(y):
-            p = y[:n]
+            geo = PointGeometry(chain, model, y[:n])
             phi = y[n:2 * n]
-            eta = y[2 * n:].reshape(n, m)
-            theta_mat, d1 = model.theta_d1_matrices(chain, p)
-            L = response_matrix(chain, theta_mat)
-            g = grad_matrix(chain, phi)
-            dgamma = L @ phi
-            dphi = -0.5 * (g * g * d1).sum(axis=1)
-            deta = _transport_rate(chain, model, p, phi, eta,
-                                   pre=(theta_mat, d1, L))
-            return np.concatenate([dgamma, dphi, deta.ravel()])
+            deta = _transport_rate(geo, phi, y[2 * n:].reshape(n, -1))
+            return np.concatenate([*_geodesic_rate(geo, phi), deta.ravel()])
 
         is_ok = lambda y: bool((y[:n] >= EPS_BOUNDARY).all())
         times = _time_grid(path.T, dt)
         y = np.concatenate([p0, phi0, H.ravel()])
-        out = [TransportState(0.0, p0.copy(), phi0.copy(),
-                              H[:, 0].copy() if single else H.copy())]
+        out = [state(0.0, p0.copy(), phi0.copy(), H)]
         for k in range(1, len(times)):
             y = advance_interior(f, y, times[k] - times[k - 1], is_ok)
             y[n:2 * n] -= y[n:2 * n].mean()
-            eta = y[2 * n:].reshape(n, m)
+            eta = y[2 * n:].reshape(n, -1)
             eta -= eta.mean(axis=0)
-            y[2 * n:] = eta.ravel()
-            out.append(TransportState(float(times[k]), y[:n].copy(),
-                                      y[n:2 * n].copy(),
-                                      eta[:, 0].copy() if single else eta.copy()))
+            out.append(state(times[k], y[:n].copy(), y[n:2 * n].copy(), eta))
         return out
 
     if isinstance(path, SampledPath):
@@ -359,35 +385,25 @@ def parallel_transport(chain, model, path, eta0, dt):
             R = pseudo_inverse(onsager_matrix(chain, model.theta_matrix(chain, p)))
             pots[k] = mean_zero(R @ v)
 
-        def gamma_at(t):
-            return np.array([np.interp(t, times, states[:, i]) for i in range(n)])
+        def at(t, samples):
+            return np.array([np.interp(t, times, samples[:, i]) for i in range(n)])
 
-        def phi_at(t):
-            return np.array([np.interp(t, times, pots[:, i]) for i in range(n)])
+        def f(y):
+            # y = (t, eta): the time rides along so one RK4 step serves both
+            t = y[0]
+            geo = PointGeometry(chain, model, at(t, states))
+            deta = _transport_rate(geo, at(t, pots), y[1:].reshape(n, -1))
+            return np.concatenate([[1.0], deta.ravel()])
 
-        def f_eta(t, eta_flat):
-            eta = eta_flat.reshape(n, -1)
-            return _transport_rate(chain, model, gamma_at(t), phi_at(t), eta).ravel()
-
-        grid = np.arange(times[0], times[-1] + 0.5 * dt, dt)
-        if grid[-1] < times[-1] - 1e-12:
-            grid = np.append(grid, times[-1])
-        else:
-            grid[-1] = times[-1]
-        eta = H.copy()
-        out = [TransportState(float(grid[0]), gamma_at(grid[0]), phi_at(grid[0]),
-                              eta[:, 0].copy() if single else eta.copy())]
-        for t0, t1 in zip(grid[:-1], grid[1:]):
-            h = t1 - t0
-            y = eta.ravel()
-            k1 = f_eta(t0, y)
-            k2 = f_eta(t0 + 0.5 * h, y + 0.5 * h * k1)
-            k3 = f_eta(t0 + 0.5 * h, y + 0.5 * h * k2)
-            k4 = f_eta(t1, y + h * k3)
-            eta = (y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)).reshape(n, -1)
+        grid = times[0] + _time_grid(times[-1] - times[0], dt)
+        y = np.concatenate([grid[:1], H.ravel()])
+        out = [state(grid[0], at(grid[0], states), at(grid[0], pots), H)]
+        for t1 in grid[1:]:
+            y = rk4_step(f, y, t1 - y[0])
+            y[0] = t1
+            eta = y[1:].reshape(n, -1)
             eta -= eta.mean(axis=0)
-            out.append(TransportState(float(t1), gamma_at(t1), phi_at(t1),
-                                      eta[:, 0].copy() if single else eta.copy()))
+            out.append(state(t1, at(t1, states), at(t1, pots), eta))
         return out
 
     raise TypeError("path must be a GeodesicPath or a SampledPath")
@@ -402,28 +418,22 @@ def hessian_form(chain, model, F: Energy, phi1, phi2, p, route="matrix"):
         phi1^T L H_F L phi2 + 1/2 gradF . ( L(V_1 theta) phi2 + L(V_2 theta) phi1
                                             - L(theta) Gamma(phi1, phi2) )
     route="edges": the same first-order part rewritten as ordered-edge sums of
-    Gamma terms; the two must agree.
+    Gamma terms; an independent reference that the matrix route must match.
     """
-    p = check_interior(p)
+    geo = PointGeometry(chain, model, p)
     phi1 = np.asarray(phi1, dtype=float)
     phi2 = np.asarray(phi2, dtype=float)
-    theta_mat = model.theta_matrix(chain, p)
-    d1 = model.d1_matrix(chain, p)
-    L = response_matrix(chain, theta_mat)
-    grad_f = F.gradient(p)
-    second = float(phi1 @ L @ F.hessian(p) @ L @ phi2)
+    L = geo.L
+    grad_f = F.gradient(geo.p)
+    second = float(phi1 @ L @ F.hessian(geo.p) @ L @ phi2)
     if route == "matrix":
-        v1 = L @ phi1
-        v2 = L @ phi2
-        g1 = grad_matrix(chain, phi1)
-        g2 = grad_matrix(chain, phi2)
-        gam12 = (g1 * g2 * d1).sum(axis=1)
         first = 0.5 * float(grad_f @ (
-            response_matrix(chain, contract_d1(d1, v1)) @ phi2
-            + response_matrix(chain, contract_d1(d1, v2)) @ phi1
-            - L @ gam12
+            geo.dL(phi1) @ phi2
+            + geo.dL(phi2) @ phi1
+            - L @ geo.gamma(phi1, phi2)
         ))
     elif route == "edges":
+        theta_mat, d1 = geo.theta, geo.d1
         g1 = grad_matrix(chain, phi1)
         g2 = grad_matrix(chain, phi2)
         gf = grad_matrix(chain, grad_f)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import grad_matrix
-from .connection import contract_d1
+from .connection import PointGeometry
 from .errors import DegeneratePlane
 from .metric import (
     frame_potentials,
@@ -26,48 +26,28 @@ from .mobility import check_interior
 M_CONVENTION = "m = -2W - dtheta(L(V1 theta) phi2) - dtheta(L(V2 theta) phi1)"
 
 
-def _w_second(s_ii, s_ij, v1, v2):
-    """Mixed second derivative of theta along two frozen vertex directions."""
-    dd_i = s_ii * v2[:, None] + s_ij * v2[None, :]
-    dd_j = s_ij * v2[:, None] + s_ii.T * v2[None, :]
-    return dd_i * v1[:, None] + dd_j * v1[None, :]
-
-
 @dataclass
 class SecondDirectional:
     """Second-order directional data of theta along V_phi1, V_phi2.
 
-    All fields are symmetric edge matrices.  Both sign conventions of the
-    m-matrix are retained; `m` is the one that reproduces the chart oracle.
+    All fields are symmetric edge matrices; `m` is in the sign convention
+    that reproduces the chart oracle.
     """
 
     W: np.ndarray
     nabla_theta_L: np.ndarray  # dtheta contracted with L(V_phi1 theta) phi2
     theta_second: np.ndarray   # V_phi1 (V_phi2 theta), equals W + nabla_theta_L
     m: np.ndarray
-    m_variant: np.ndarray      # the +2W variant that appears in one expansion
 
 
 def second_directional(chain, model, phi1, phi2, p) -> SecondDirectional:
-    p = check_interior(p)
+    geo = PointGeometry(chain, model, p)
     phi1 = np.asarray(phi1, dtype=float)
     phi2 = np.asarray(phi2, dtype=float)
-    theta_mat = model.theta_matrix(chain, p)
-    d1 = model.d1_matrix(chain, p)
-    s_ii, s_ij = model.d2_matrices(chain, p)
-    L = response_matrix(chain, theta_mat)
-    v1 = L @ phi1
-    v2 = L @ phi2
-    W = _w_second(s_ii, s_ij, v1, v2)
-    n12 = contract_d1(d1, response_matrix(chain, contract_d1(d1, v1)) @ phi2)
-    n21 = contract_d1(d1, response_matrix(chain, contract_d1(d1, v2)) @ phi1)
-    return SecondDirectional(
-        W=W,
-        nabla_theta_L=n12,
-        theta_second=W + n12,
-        m=-2.0 * W - n12 - n21,
-        m_variant=2.0 * W - n12 - n21,
-    )
+    W = geo.second_theta(phi1, phi2)
+    n12 = geo.nabla_theta_L(phi1, phi2)
+    return SecondDirectional(W=W, nabla_theta_L=n12, theta_second=W + n12,
+                             m=geo.m(phi1, phi2))
 
 
 def gamma3(chain, model, phi1, phi2, phi3, phi4, p):
@@ -76,15 +56,10 @@ def gamma3(chain, model, phi1, phi2, phi3, phi4, p):
     With A_ij = (grad Gamma(phi1, phi2))_ij (grad phi4)_ij dtheta_ij/dp_i,
     Gamma3_ij = 1/2 sum_k sqrt(w_ik) (A_kj - A_ij) (grad phi3)_ik theta_ik.
     """
-    p = check_interior(p)
-    theta_mat = model.theta_matrix(chain, p)
-    d1 = model.d1_matrix(chain, p)
-    g1 = grad_matrix(chain, np.asarray(phi1, dtype=float))
-    g2 = grad_matrix(chain, np.asarray(phi2, dtype=float))
-    gam = (g1 * g2 * d1).sum(axis=1)
-    g3 = grad_matrix(chain, np.asarray(phi3, dtype=float))
-    g4 = grad_matrix(chain, np.asarray(phi4, dtype=float))
-    return _gamma3_core(chain, theta_mat, d1, gam, g3, g4)
+    geo = PointGeometry(chain, model, p)
+    phi1, phi2, phi3, phi4 = (np.asarray(f, dtype=float) for f in (phi1, phi2, phi3, phi4))
+    return _gamma3_core(chain, geo.theta, geo.d1, geo.gamma(phi1, phi2),
+                        grad_matrix(chain, phi3), grad_matrix(chain, phi4))
 
 
 def _gamma3_core(chain, theta_mat, d1, gam_12, g3, g4):
@@ -95,62 +70,29 @@ def _gamma3_core(chain, theta_mat, d1, gam_12, g3, g4):
     return 0.5 * (term1 - term2)
 
 
-class _Workspace:
-    """Point-level quantities shared by the curvature routes."""
-
-    def __init__(self, chain, model, p):
-        self.p = check_interior(p)
-        self.theta = model.theta_matrix(chain, p)
-        self.d1 = model.d1_matrix(chain, p)
-        self.s_ii, self.s_ij = model.d2_matrices(chain, p)
-        self.L = response_matrix(chain, self.theta)
-        self.R = pseudo_inverse(onsager_matrix(chain, self.theta))
-        self.chain = chain
-
-    def velocity(self, phi):
-        return self.L @ phi
-
-    def m_matrix(self, phis, a, b, V):
-        d1 = self.d1
-        W = _w_second(self.s_ii, self.s_ij, V[a], V[b])
-        n_ab = contract_d1(d1, response_matrix(self.chain, contract_d1(d1, V[a])) @ phis[b])
-        n_ba = contract_d1(d1, response_matrix(self.chain, contract_d1(d1, V[b])) @ phis[a])
-        return -2.0 * W - n_ab - n_ba
-
-    def commutator(self, phis, a, b, V):
-        d1 = self.d1
-        return (
-            response_matrix(self.chain, contract_d1(d1, V[a])) @ phis[b]
-            - response_matrix(self.chain, contract_d1(d1, V[b])) @ phis[a]
-        )
-
-
-def _riemann_assembled(ws: _Workspace, phis):
-    ch = ws.chain
-    L = ws.L
-    V = [L @ f for f in phis]
-    g = [grad_matrix(ch, f) for f in phis]
-    gam = lambda a, b: (g[a] * g[b] * ws.d1).sum(axis=1)
-    m = lambda a, b: ws.m_matrix(phis, a, b, V)
-    comm = lambda a, b: ws.commutator(phis, a, b, V)
+def _riemann_assembled(geo: PointGeometry, phis):
+    L_of, m, comm, gam = geo.L_of, geo.m, geo.commutator, geo.gamma
+    R = geo.R
     return 0.25 * (
-        phis[1] @ response_matrix(ch, m(0, 2)) @ phis[3]
-        + phis[0] @ response_matrix(ch, m(1, 3)) @ phis[2]
-        - phis[1] @ response_matrix(ch, m(0, 3)) @ phis[2]
-        - phis[0] @ response_matrix(ch, m(1, 2)) @ phis[3]
-        + gam(0, 2) @ L @ gam(1, 3)
-        - gam(1, 2) @ L @ gam(0, 3)
-        + comm(0, 2) @ ws.R @ comm(1, 3)
-        - comm(1, 2) @ ws.R @ comm(0, 3)
-        + 2.0 * comm(2, 3) @ ws.R @ comm(0, 1)
+        phis[1] @ L_of(m(phis[0], phis[2])) @ phis[3]
+        + phis[0] @ L_of(m(phis[1], phis[3])) @ phis[2]
+        - phis[1] @ L_of(m(phis[0], phis[3])) @ phis[2]
+        - phis[0] @ L_of(m(phis[1], phis[2])) @ phis[3]
+        + gam(phis[0], phis[2]) @ geo.L @ gam(phis[1], phis[3])
+        - gam(phis[1], phis[2]) @ geo.L @ gam(phis[0], phis[3])
+        + comm(phis[0], phis[2]) @ R @ comm(phis[1], phis[3])
+        - comm(phis[1], phis[2]) @ R @ comm(phis[0], phis[3])
+        + 2.0 * comm(phis[2], phis[3]) @ R @ comm(phis[0], phis[1])
     )
 
 
-def _riemann_explicit(ws: _Workspace, phis):
-    ch = ws.chain
-    T, d1, s_ii, s_ij = ws.theta, ws.d1, ws.s_ii, ws.s_ij
-    L = ws.L
-    V = [L @ f for f in phis]
+def _riemann_explicit(geo: PointGeometry, phis):
+    """The curvature as explicit ordered-edge sums of theta and its partials:
+    a reference route, kept independent of `_riemann_assembled` so that the
+    two can check each other."""
+    ch = geo.chain
+    T, d1 = geo.theta, geo.d1
+    s_ii, s_ij = geo.d2
     g = [grad_matrix(ch, f) for f in phis]
     sw = ch.sqrt_omega
 
@@ -203,38 +145,38 @@ def _riemann_explicit(ws: _Workspace, phis):
         - grad_matrix(ch, gam(1, 2)) * grad_matrix(ch, gam(0, 3))
     ))
 
-    comm = lambda a, b: ws.commutator(phis, a, b, V)
+    comm = lambda a, b: geo.commutator(phis[a], phis[b])
     block5 = 0.25 * (
-        comm(0, 2) @ ws.R @ comm(1, 3)
-        - comm(1, 2) @ ws.R @ comm(0, 3)
-        + 2.0 * comm(2, 3) @ ws.R @ comm(0, 1)
+        comm(0, 2) @ geo.R @ comm(1, 3)
+        - comm(1, 2) @ geo.R @ comm(0, 3)
+        + 2.0 * comm(2, 3) @ geo.R @ comm(0, 1)
     )
     return block1 + block2 + block3 + block4 + block5
 
 
 def riemann(chain, model, phi1, phi2, phi3, phi4, p, route="assembled"):
     """<R(V_phi1, V_phi2) V_phi3, V_phi4> at p."""
-    ws = _Workspace(chain, model, p)
+    geo = PointGeometry(chain, model, p)
     phis = [np.asarray(f, dtype=float) for f in (phi1, phi2, phi3, phi4)]
     if route == "assembled":
-        return float(_riemann_assembled(ws, phis))
+        return float(_riemann_assembled(geo, phis))
     if route == "explicit":
-        return float(_riemann_explicit(ws, phis))
+        return float(_riemann_explicit(geo, phis))
     raise ValueError(f"unknown route {route!r}")
 
 
 def sectional(chain, model, phi1, phi2, p):
     """Sectional curvature of the plane spanned by V_phi1, V_phi2."""
-    ws = _Workspace(chain, model, p)
+    geo = PointGeometry(chain, model, p)
     phi1 = np.asarray(phi1, dtype=float)
     phi2 = np.asarray(phi2, dtype=float)
-    a11 = float(phi1 @ ws.L @ phi1)
-    a22 = float(phi2 @ ws.L @ phi2)
-    a12 = float(phi1 @ ws.L @ phi2)
+    a11 = float(phi1 @ geo.L @ phi1)
+    a22 = float(phi2 @ geo.L @ phi2)
+    a12 = float(phi1 @ geo.L @ phi2)
     gram = a11 * a22 - a12 * a12
     if gram <= 1e-12 * max(a11 * a22, 0.0):
         raise DegeneratePlane(f"Gram determinant {gram:.3e} below tolerance")
-    num = _riemann_assembled(ws, [phi1, phi2, phi2, phi1])
+    num = _riemann_assembled(geo, [phi1, phi2, phi2, phi1])
     return float(num / gram)
 
 
@@ -243,15 +185,15 @@ def ricci_scalar(chain, model, p):
 
     Ric(e_a, e_b) = sum_c <R(e_c, e_a) e_b, e_c>; scalar = trace.
     """
-    ws = _Workspace(chain, model, p)
-    pots = frame_potentials(onsager_matrix(chain, ws.theta))
+    geo = PointGeometry(chain, model, p)
+    pots = frame_potentials(geo.L)
     k = pots.shape[0]
     ric = np.empty((k, k))
     for a in range(k):
         for b in range(a, k):
             total = 0.0
             for c in range(k):
-                total += _riemann_assembled(ws, [pots[c], pots[a], pots[b], pots[c]])
+                total += _riemann_assembled(geo, [pots[c], pots[a], pots[b], pots[c]])
             ric[a, b] = ric[b, a] = total
     return ric, float(np.trace(ric))
 
@@ -291,8 +233,9 @@ def chart_curvature_oracle(chain, model, p, h_metric=1e-5, h_christoffel=1e-4):
     """Fully lowered Riemann tensor in the chart x = (p_1, ..., p_{n-1}).
 
     Christoffel symbols come from central differences of the chart metric;
-    their partials from a second central-difference layer.  Independent of the
-    response-matrix routes, so it arbitrates them.
+    their partials from a second central-difference layer.  An oracle: it
+    never uses the theta partials or PointGeometry, so it arbitrates the
+    response-matrix routes.
     """
     p = check_interior(p)
     x = np.asarray(p, dtype=float)[:-1]
@@ -318,7 +261,8 @@ def chart_curvature_oracle(chain, model, p, h_metric=1e-5, h_christoffel=1e-4):
 
 
 def oracle_contraction(chain, model, phi1, phi2, phi3, phi4, p, lowered=None):
-    """Contract the chart tensor to <R(V_phi1, V_phi2) V_phi3, V_phi4>."""
+    """Contract the chart tensor to <R(V_phi1, V_phi2) V_phi3, V_phi4> (oracle
+    route, for comparison with `riemann`)."""
     if lowered is None:
         lowered = chart_curvature_oracle(chain, model, p)
     L = response_matrix(chain, model.theta_matrix(chain, p))
@@ -341,8 +285,8 @@ class CurvatureReport:
 
 def curvature_report(chain, model, p) -> CurvatureReport:
     """Frame curvature data at p, cross-checked against the chart oracle."""
-    ws = _Workspace(chain, model, p)
-    pots = frame_potentials(onsager_matrix(chain, ws.theta))
+    geo = PointGeometry(chain, model, p)
+    pots = frame_potentials(geo.L)
     k = pots.shape[0]
     tensor = np.empty((k, k, k, k))
     for a in range(k):
@@ -350,9 +294,9 @@ def curvature_report(chain, model, p) -> CurvatureReport:
             for c in range(k):
                 for d in range(k):
                     tensor[a, b, c, d] = _riemann_assembled(
-                        ws, [pots[a], pots[b], pots[c], pots[d]])
+                        geo, [pots[a], pots[b], pots[c], pots[d]])
     lowered = chart_curvature_oracle(chain, model, p)
-    E = np.array([(ws.L @ f)[:-1] for f in pots])
+    E = np.array([(geo.L @ f)[:-1] for f in pots])
     oracle = np.einsum("ijkl,di,cj,ak,bl->abcd", lowered, E, E, E, E)
     residual = float(np.abs(tensor - oracle).max())
 

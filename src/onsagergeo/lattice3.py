@@ -8,9 +8,9 @@ the normalized sectional value is K12 * theta_1 * theta_2.
 
 import numpy as np
 
-from .curvature import riemann
+from .connection import PointGeometry
+from .curvature import _riemann_assembled
 from .errors import EqualComponents, OnsagerGeoError
-from .metric import onsager_matrix, pseudo_inverse
 from .mobility import AlphaMean, GeometricMean, KLLogMean, check_interior
 
 _CHAIN = None
@@ -25,13 +25,11 @@ def lattice3_unit_chain():
     return _CHAIN
 
 
-def _partials_route(model, p):
+def _partials_route(geo):
     """General route: cumulative-coordinate partials of log theta taken by
-    exact chain rule from the model's p-partials."""
-    chain = lattice3_unit_chain()
-    T = model.theta_matrix(chain, p)
-    d1 = model.d1_matrix(chain, p)
-    s_ii, _ = model.d2_matrices(chain, p)
+    exact chain rule from the model's p-partials at the bundle's point."""
+    T, d1 = geo.theta, geo.d1
+    s_ii, _ = geo.d2
     t1, t2 = T[0, 1], T[1, 2]
 
     d1_log_t1 = (d1[0, 1] - d1[1, 0]) / t1
@@ -114,7 +112,7 @@ def lattice3_closed_forms(model, p, route="partials"):
     if p.shape != (3,):
         raise ValueError("closed forms are for three states")
     if route == "partials":
-        k12, r11, r22, s = _partials_route(model, p)
+        k12, r11, r22, s = _partials_route(PointGeometry(lattice3_unit_chain(), model, p))
     elif route == "example":
         if isinstance(model, GeometricMean):
             k12, r11, r22, s = _example_geometric_mean(model, p)
@@ -151,23 +149,26 @@ def lattice3_sweep(model, resolution):
     """Closed-form curvature over the grid, with a per-row residual against
     the assembled tensor route.
 
-    Uses the per-family specialization when the model has one (its singular
-    rows -- adjacent components equal -- are kept and flagged with nan values
-    rather than dropped) and the general partials route otherwise."""
+    Uses the per-family specialization when the model has one, and the
+    general partials route otherwise and where the specialization is singular
+    (adjacent components equal).  Rows where the library raises are kept and
+    flagged with nan values rather than dropped."""
     chain = lattice3_unit_chain()
-    route = ("example"
-             if isinstance(model, (GeometricMean, KLLogMean, AlphaMean))
-             else "partials")
+    example = isinstance(model, (GeometricMean, KLLogMean, AlphaMean))
     rows = np.empty((resolution * resolution, len(SWEEP_COLUMNS)))
     for k, p in enumerate(sweep_grid(resolution)):
         rows[k, :3] = p
         try:
-            k12, r11, r22, s = lattice3_closed_forms(model, p, route=route)
-            R = pseudo_inverse(onsager_matrix(chain, model.theta_matrix(chain, p)))
-            phi1 = R @ _D1
-            phi2 = R @ _D2
-            numerator = riemann(chain, model, phi1, phi2, phi2, phi1, p)
-            rows[k, 3:] = (k12, r11, r22, s, abs(numerator - k12))
+            geo = PointGeometry(chain, model, p)
+            try:
+                forms = (lattice3_closed_forms(model, p, route="example") if example
+                         else _partials_route(geo))
+            except EqualComponents:
+                forms = _partials_route(geo)
+            phi1 = geo.R @ _D1
+            phi2 = geo.R @ _D2
+            numerator = _riemann_assembled(geo, [phi1, phi2, phi2, phi1])
+            rows[k, 3:] = (*forms, abs(numerator - forms[0]))
         except OnsagerGeoError:
             rows[k, 3:] = np.nan
     return rows

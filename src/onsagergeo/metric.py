@@ -49,7 +49,10 @@ class OnsagerMatrix:
 
     def _eigensystem(self):
         if self._eig is None:
-            lam, U = np.linalg.eigh(self.L)
+            try:
+                lam, U = np.linalg.eigh(self.L)
+            except np.linalg.LinAlgError as exc:
+                raise NearSingular(f"response matrix eigensystem failed ({exc})")
             top = lam[-1]
             if top <= 0:
                 raise NearSingular("response matrix has no positive eigenvalue")

@@ -30,9 +30,12 @@ H2 = 1e-4             # FD step for second partials (Custom models)
 
 
 def check_interior(p, eps=EPS_BOUNDARY):
-    """Return p as an array, raising BoundaryPoint if any entry < eps."""
+    """Return p as an array, raising BoundaryPoint unless every entry is finite and >= eps."""
     p = np.asarray(p, dtype=float)
-    if (p < eps).any():
+    # p.min() is nan when an entry is nan, p.sum() is inf when an entry is +inf
+    if not (p.min() >= eps and p.sum() < np.inf):
+        if not np.isfinite(p).all():
+            raise BoundaryPoint(f"point has a non-finite entry ({p})")
         raise BoundaryPoint(f"point touches the simplex boundary (min entry {p.min():.3e})")
     return p
 
@@ -63,6 +66,10 @@ class MobilityModel:
     def _d2_full(self, chain, p):
         raise NotImplementedError
 
+    def _theta_d1_full(self, chain, p):
+        """Both of the above; models override it to share intermediates."""
+        return self._theta_full(chain, p), self._d1_full(chain, p)
+
     # -- public, edge-masked accessors ---------------------------------------
     def theta_matrix(self, chain, p):
         """Symmetric positive edge matrix theta, zero off the edge set."""
@@ -71,8 +78,7 @@ class MobilityModel:
 
     def d1_matrix(self, chain, p):
         """D1[i, j] = d theta_ij / d p_i on edges, zero elsewhere."""
-        p = check_interior(p)
-        return np.where(chain.edge_mask, self._d1_full(chain, p), 0.0)
+        return self.theta_d1_matrices(chain, p)[1]
 
     def d2_matrices(self, chain, p):
         """(S_ii, S_ij) with S_ii[i, j] = d^2 theta_ij / d p_i^2 and
@@ -85,7 +91,10 @@ class MobilityModel:
     def theta_d1_matrices(self, chain, p):
         """(theta, D1) in one call; ODE right-hand sides use this so models can
         share intermediates between the two."""
-        return self.theta_matrix(chain, p), self.d1_matrix(chain, p)
+        p = check_interior(p)
+        t, d = self._theta_d1_full(chain, p)
+        mask = chain.edge_mask
+        return np.where(mask, t, 0.0), np.where(mask, d, 0.0)
 
     # -- divergence interface -------------------------------------------------
     def divergence(self, chain, p):
@@ -182,49 +191,44 @@ class _DivergenceMean(_RatioMean):
         half = 0.5 * (z[cols] - z[rows])
         return (rows, cols), mid, half
 
+    def _taylor_theta(self, mid, half):
+        """Two-term Taylor expansion of theta about the midpoint ratio."""
+        f2m = self.f2(mid)
+        return 1.0 / f2m - self.f4(mid) / (6.0 * f2m**2) * half**2
+
+    def _taylor_d1(self, mid, half):
+        """Two-term Taylor expansion of D1 (before the ratio scale s)."""
+        f2m = self.f2(mid)
+        return -self.f3(mid) / (2.0 * f2m**2) + self.f4(mid) / (6.0 * f2m**2) * half
+
+    # The generic formulas below hold off the `near` pairs only; the Taylor
+    # patch overwrites the off-diagonal ones, and theta's diagonal is already
+    # diff / safe = 0 / 1 = 0.
     def _theta_full(self, chain, p):
         z, s, f2v, diff, near, safe = self._branching(chain, p)
         t = diff / safe
         patch = self._near_patch(z, near)
         if patch is not None:
             idx, mid, half = patch
-            f2m = self.f2(mid)
-            t[idx] = 1.0 / f2m - self.f4(mid) / (6.0 * f2m**2) * half**2
-        np.fill_diagonal(t, 0.0)
+            t[idx] = self._taylor_theta(mid, half)
         return t
 
-    def _d1_full(self, chain, p):
+    def _theta_d1_full(self, chain, p):
+        """Full-pair theta and D1 from one branching pass."""
         z, s, f2v, diff, near, safe = self._branching(chain, p)
-        t = np.where(near, 0.0, diff / safe)  # generic-branch theta
+        t = diff / safe
         d = (t * f2v[:, None] - 1.0) / safe
         patch = self._near_patch(z, near)
         if patch is not None:
             idx, mid, half = patch
-            f2m = self.f2(mid)
-            d[idx] = -self.f3(mid) / (2.0 * f2m**2) + self.f4(mid) / (6.0 * f2m**2) * half
+            t[idx] = self._taylor_theta(mid, half)
+            d[idx] = self._taylor_d1(mid, half)
         np.fill_diagonal(d, 0.0)
-        return d * s[:, None]
-
-    def theta_d1_matrices(self, chain, p):
-        p = check_interior(p)
-        z, s, f2v, diff, near, safe = self._branching(chain, p)
-        t = diff / safe
-        d = (np.where(near, 0.0, t) * f2v[:, None] - 1.0) / safe
-        patch = self._near_patch(z, near)
-        if patch is not None:
-            idx, mid, half = patch
-            f2m = self.f2(mid)
-            f4m = self.f4(mid)
-            t[idx] = 1.0 / f2m - f4m / (6.0 * f2m**2) * half**2
-            d[idx] = -self.f3(mid) / (2.0 * f2m**2) + f4m / (6.0 * f2m**2) * half
-        np.fill_diagonal(t, 0.0)
-        np.fill_diagonal(d, 0.0)
-        mask = chain.edge_mask
-        return np.where(mask, t, 0.0), np.where(mask, d * s[:, None], 0.0)
+        return t, d * s[:, None]
 
     def _d2_full(self, chain, p):
         z, s, f2v, diff, near, safe = self._branching(chain, p)
-        t = np.where(near, 0.0, diff / safe)
+        t = diff / safe
         f2i = f2v[:, None]
         f2j = f2v[None, :]
         s_ii = 2.0 * f2i * (t * f2i - 1.0) / safe**2 + t * self.f3(z)[:, None] / safe
@@ -337,13 +341,8 @@ class GeometricMean(_RatioMean):
     has_divergence = False
 
     def __init__(self, beta=0.5, c=1.0, convention="pi"):
-        if convention == "scaled" and (c is None or c <= 0):
-            raise ValueError("scaled convention requires c > 0")
-        if convention not in ("pi", "scaled"):
-            raise ValueError(f"unknown convention {convention!r}")
+        super().__init__(convention, c)
         self.beta = float(beta)
-        self.c = c
-        self.convention = convention
 
     def _theta_full(self, chain, p):
         if self.convention == "scaled":
@@ -354,12 +353,8 @@ class GeometricMean(_RatioMean):
         np.fill_diagonal(t, 0.0)
         return t
 
-    def _d1_full(self, chain, p):
-        return self.beta * self._theta_full(chain, p) / p[:, None]
-
-    def theta_d1_matrices(self, chain, p):
-        p = check_interior(p)
-        t = np.where(chain.edge_mask, self._theta_full(chain, p), 0.0)
+    def _theta_d1_full(self, chain, p):
+        t = self._theta_full(chain, p)
         return t, self.beta * t / p[:, None]
 
     def _d2_full(self, chain, p):

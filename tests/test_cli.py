@@ -137,7 +137,9 @@ def test_sweep_csv(tmp_path, capsys):
     assert lines[0] == "p1,p2,p3,K12,R11,R22,S,oracle_residual"
     assert len(lines) == 26
     data = np.genfromtxt(out.splitlines(), delimiter=",", skip_header=1)
-    assert np.isnan(data[:, 3]).sum() == 5
+    assert np.isfinite(data).all()
+    assert (data[:, 1] == data[:, 2]).sum() == 5  # the p2 == p3 midline
+    assert data[:, 7].max() < 1e-9
 
 
 def test_sweep_grid_flag_overrides_config(tmp_path, capsys):
@@ -189,8 +191,26 @@ def test_out_writes_a_file(tmp_path, capsys):
     (["transport", "--preset", "lattice3"],
      {"model": {"kind": "kl"}, "p0": [0.5, 0.3, 0.2], "phi0": [0.1, 0.0, -0.1]},
      "missing required config key 'eta0'"),
+    (["analyze", "--preset", "lattice3"],
+     {"model": {"kind": "kl"}, "point": [0.2, 0.3, 0.6]},
+     "config key 'point': probabilities sum to"),
+    (["simulate", "--preset", "lattice3"],
+     {"model": {"kind": "kl"}, "p0": [0.5, 0.3, 0.3]},
+     "config key 'p0': probabilities sum to"),
+    (["geodesic", "--preset", "lattice3"],
+     {"model": {"kind": "kl"}, "p0": [0.5, 0.3, 0.1], "phi0": [0.1, 0.0, -0.1]},
+     "config key 'p0': probabilities sum to"),
+    (["geodesic", "--preset", "lattice3"],
+     {"model": {"kind": "kl"}, "p0": [0.5, 0.3, 0.2], "p1": [0.4, 0.4, 0.4]},
+     "config key 'p1': probabilities sum to"),
+    (["transport", "--preset", "lattice3"],
+     {"model": {"kind": "kl"}, "p0": [0.6, 0.3, 0.2], "phi0": [0.1, 0.0, -0.1],
+      "eta0": [1.0, 0.0, -1.0]},
+     "config key 'p0': probabilities sum to"),
 ], ids=["unknown-key", "missing-point", "short-point", "missing-chain",
-        "bad-model", "bad-rates", "bad-T", "missing-eta0"])
+        "bad-model", "bad-rates", "bad-T", "missing-eta0", "off-simplex-point",
+        "off-simplex-simulate", "off-simplex-geodesic", "off-simplex-p1",
+        "off-simplex-transport"])
 def test_config_errors(tmp_path, capsys, argv, config, message):
     code, out, err = run(capsys, argv, tmp_path, config)
     assert code == 1
@@ -219,6 +239,14 @@ def test_boundary_point_exits_2(tmp_path, capsys):
     assert code == 2
     assert ("BoundaryPoint: point touches the simplex boundary "
             "(min entry 0.000e+00)") in err
+
+
+def test_non_finite_point_exits_2(tmp_path, capsys):
+    cfg = {"model": {"kind": "kl"}, "point": [float("nan"), 0.5, 0.5]}
+    code, _, err = run(capsys, ["analyze", "--preset", "lattice3"], tmp_path, cfg)
+    assert code == 2
+    assert err.startswith("BoundaryPoint: point has a non-finite entry")
+    assert "Traceback" not in err
 
 
 def test_detailed_balance_violation_exits_2(tmp_path, capsys):

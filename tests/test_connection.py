@@ -33,7 +33,7 @@ from onsagergeo.acceptance import (
     random_potential,
     random_reversible_chain,
 )
-from onsagergeo.connection import _transport_rate, contract_d1
+from onsagergeo.connection import PointGeometry, _transport_rate, contract_d1
 
 LATTICE = lattice3_chain()
 KL = KLLogMean()
@@ -293,7 +293,7 @@ def test_transport_rate_is_minus_the_connection():
         phi = random_potential(rng, chain.n)
         eta = random_potential(rng, chain.n)
         L = response_matrix(chain, KL.theta_matrix(chain, p))
-        rate = _transport_rate(chain, KL, p, phi, eta[:, None])[:, 0]
+        rate = _transport_rate(PointGeometry(chain, KL, p), phi, eta[:, None])[:, 0]
         nabla = levi_civita(chain, KL, phi, eta, p).vector
         expected = -deflated_solve(L, nabla)
         assert_allclose(rate, expected, atol=1e-12 * (1 + abs(expected).max()))

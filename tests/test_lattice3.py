@@ -149,23 +149,27 @@ def test_sweep_grid_three():
     assert g.min() == pytest.approx(0.0625)
 
 
-def test_sweep_flags_singular_rows():
+def test_sweep_midline_rows_are_finite():
     rows = lattice3_sweep(KL, 5)
     assert rows.shape == (25, len(SWEEP_COLUMNS))
-    nan_mask = np.isnan(rows[:, 3])
-    assert nan_mask.sum() == 5
-    # the flagged rows are exactly the p2 == p3 midline of the grid
-    assert_allclose(rows[nan_mask, 1], rows[nan_mask, 2], atol=1e-15)
-    assert np.isnan(rows[nan_mask, 3:]).all()
-    assert np.isfinite(rows[nan_mask, :3]).all()
-    mid = rows[(abs(rows[:, 0] - 0.5) < 1e-12) & nan_mask]
+    assert np.isfinite(rows).all()
+    # on the p2 == p3 midline the per-family form is singular and the sweep
+    # falls back to the general route
+    midline = np.abs(rows[:, 1] - rows[:, 2]) < 1e-15
+    assert midline.sum() == 5
+    mid = rows[(abs(rows[:, 0] - 0.5) < 1e-12) & midline]
     assert mid.shape[0] == 1 and mid[0, 1] == pytest.approx(0.25)
+    assert mid[0, 3] == pytest.approx(-8.7363, abs=1e-4)
 
-    fin = rows[~nan_mask]
-    assert (fin[:, 3] < 0).all()
-    assert fin[:, 7].max() < 1e-9
+    assert (rows[:, 3] < 0).all()
+    assert rows[:, 7].max() < 1e-9
+    for model in (AlphaMean(-1.0), AlphaMean(0.0), AlphaMean(2.0)):
+        rows = lattice3_sweep(model, 5)
+        assert np.isfinite(rows).all()
+        assert (rows[:, 3] < 0).all()
+        assert rows[:, 7].max() < 1e-9
 
-    assert not np.isnan(lattice3_sweep(KL, 4)[:, 3]).any()
+    assert np.isfinite(lattice3_sweep(KL, 4)).all()
 
 
 def test_sweep_uses_the_general_route_for_custom_models():

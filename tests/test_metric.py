@@ -136,6 +136,11 @@ def test_near_singular_detection():
         pseudo_inverse(onsager_matrix(LATTICE, cut))
 
 
+def test_eigensystem_failure_is_near_singular():
+    with pytest.raises(NearSingular, match="eigensystem failed"):
+        pseudo_inverse(np.full((3, 3), np.nan))
+
+
 def test_orthonormal_frame_properties():
     rng = np.random.default_rng(23)
     for _ in range(20):

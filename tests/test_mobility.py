@@ -351,6 +351,14 @@ def test_interior_validation():
     assert_allclose(as_simplex_point([0.5, 0.3, 0.2]), [0.5, 0.3, 0.2])
 
 
+def test_non_finite_points_rejected():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(BoundaryPoint, match="non-finite"):
+            check_interior(np.array([bad, 0.5, 0.5]))
+        with pytest.raises(BoundaryPoint, match="non-finite"):
+            as_simplex_point([bad, 0.5, 0.5])
+
+
 def test_convention_validation():
     with pytest.raises(ValueError):
         KLLogMean(convention="scaled")  # needs c
