@@ -216,8 +216,9 @@ def grad_omega(chain, phi) -> EdgeField:
 
 
 def grad_matrix(chain, phi):
-    """Gradient as a raw antisymmetric matrix (hot path, no wrapper)."""
-    return chain.sqrt_omega * (phi[None, :] - phi[:, None])
+    """Gradient as a raw antisymmetric matrix (hot path, no wrapper); one per
+    potential for a stack of shape (..., n)."""
+    return chain.sqrt_omega * (phi[..., None, :] - phi[..., None])
 
 
 def div_omega(chain, v):

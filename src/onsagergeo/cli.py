@@ -266,9 +266,9 @@ def cmd_transport(args):
 def cmd_sweep(args):
     cfg = load_config(args.config)
     check_keys(cfg, _COMMON_KEYS | {"grid"})
-    preset = args.preset or (cfg.get("chain") or {}).get("preset")
     if cfg.get("chain") is not None and not isinstance(cfg["chain"], dict):
         raise ConfigError("config key 'chain' must be an object")
+    preset = args.preset or (cfg.get("chain") or {}).get("preset")
     if preset is not None and preset != "lattice3":
         raise ConfigError("sweep runs on the lattice3 preset only")
     if cfg.get("chain") is not None and "preset" not in cfg["chain"]:

@@ -23,9 +23,15 @@ from .mobility import EPS_BOUNDARY, check_interior
 
 
 def contract_d1(d1, vec):
-    """Contract the theta partials against a vertex vector:
+    """Contract the theta partials against a vertex vector (or each vector of
+    a stack, shape (..., n)):
     out_ij = (d theta_ij/d p_i) vec_i + (d theta_ij/d p_j) vec_j."""
-    return d1 * vec[:, None] + d1.T * vec[None, :]
+    return d1 * vec[..., None] + d1.T * vec[..., None, :]
+
+
+def _matvec(M, v):
+    """M @ v over the leading stack axes of M (..., n, n) and v (..., n)."""
+    return (M @ v[..., None])[..., 0]
 
 
 class PointGeometry:
@@ -33,8 +39,10 @@ class PointGeometry:
     partials D1 and L(theta) at p, from one model evaluation.  The metric
     R = L^+ and the second partials (S_ii, S_ij) are computed on first use.
 
-    Potentials passed to the methods are float arrays of length n.  The
-    model's evaluation validates p.
+    Potentials passed to the methods are float arrays of length n, or stacks
+    of them of shape (..., n); a method taking two potentials broadcasts
+    their leading axes, so `m(pots[:, None], pots[None, :])` is the (k, k)
+    table of every pair.  The model's evaluation validates p.
     """
 
     def __init__(self, chain, model, p):
@@ -43,7 +51,6 @@ class PointGeometry:
         self.p = np.asarray(p, dtype=float)
         self.theta, self.d1 = model.theta_d1_matrices(chain, self.p)
         self.L = response_matrix(chain, self.theta)
-        self._dL = {}
 
     @cached_property
     def R(self):
@@ -56,7 +63,7 @@ class PointGeometry:
 
     def velocity(self, phi):
         """The tangent vector V_phi = L(theta) phi."""
-        return self.L @ phi
+        return phi @ self.L.T  # L phi, row by row for a stack
 
     def dtheta(self, v):
         """Directional derivative of theta along the vertex vector v."""
@@ -67,34 +74,31 @@ class PointGeometry:
         return response_matrix(self.chain, M)
 
     def dL(self, phi):
-        """L(V_phi theta), the derivative of L(theta) along V_phi.  Kept per
-        potential: the frame-tensor loops pass the same k potentials k^4 times."""
-        key = phi.tobytes()
-        if key not in self._dL:
-            self._dL[key] = self.L_of(self.dtheta(self.velocity(phi)))
-        return self._dL[key]
+        """L(V_phi theta), the derivative of L(theta) along V_phi."""
+        return self.L_of(self.dtheta(self.velocity(phi)))
 
     def gamma(self, phi, psi):
         """Gamma(phi, psi)_i = sum_j (grad phi)_ij (grad psi)_ij dtheta_ij/dp_i."""
         g = grad_matrix(self.chain, phi)
         h = g if psi is phi else grad_matrix(self.chain, psi)
-        return (g * h * self.d1).sum(axis=1)
+        return (g * h * self.d1).sum(axis=-1)
 
     def commutator(self, phi1, phi2):
         """[V1, V2] = L(V_1 theta) phi2 - L(V_2 theta) phi1."""
-        return self.dL(phi1) @ phi2 - self.dL(phi2) @ phi1
+        return _matvec(self.dL(phi1), phi2) - _matvec(self.dL(phi2), phi1)
 
     def second_theta(self, phi_a, phi_b):
         """W: the mixed second derivative of theta along V_a, V_b frozen."""
         s_ii, s_ij = self.d2
         va, vb = self.velocity(phi_a), self.velocity(phi_b)
-        dd_i = s_ii * vb[:, None] + s_ij * vb[None, :]
-        dd_j = s_ij * vb[:, None] + s_ii.T * vb[None, :]
-        return dd_i * va[:, None] + dd_j * va[None, :]
+        vb_i, vb_j = vb[..., None], vb[..., None, :]
+        dd_i = s_ii * vb_i + s_ij * vb_j
+        dd_j = s_ij * vb_i + s_ii.T * vb_j
+        return dd_i * va[..., None] + dd_j * va[..., None, :]
 
     def nabla_theta_L(self, phi_a, phi_b):
         """dtheta contracted with L(V_a theta) phi_b."""
-        return self.dtheta(self.dL(phi_a) @ phi_b)
+        return self.dtheta(_matvec(self.dL(phi_a), phi_b))
 
     def m(self, phi_a, phi_b):
         """m = -2W - dtheta(L(V_a theta) phi_b) - dtheta(L(V_b theta) phi_a)."""

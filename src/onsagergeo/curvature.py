@@ -70,19 +70,35 @@ def _gamma3_core(chain, theta_mat, d1, gam_12, g3, g4):
     return 0.5 * (term1 - term2)
 
 
-def _riemann_assembled(geo: PointGeometry, phis):
-    L_of, m, comm, gam = geo.L_of, geo.m, geo.commutator, geo.gamma
-    R = geo.R
+def _riemann_assembled(geo: PointGeometry, pots):
+    """The tensor T[a,b,c,d] = <R(V_a, V_b) V_c, V_d> over a stack of k
+    potentials, shape (k, n), as a (k, k, k, k) array.
+
+    Nine terms built from three k^2 x k^2 blocks over the pairs of
+    potentials:
+        M[(a,c),(b,d)] = phi_b^T L(m(a,c)) phi_d,
+        G[(a,c),(b,d)] = Gamma(a,c)^T L Gamma(b,d),
+        C[(a,c),(b,d)] = [V_a, V_c]^T R [V_b, V_d];
+    every component is evaluated, none is filled in from a symmetry.
+    """
+    pots = np.asarray(pots, dtype=float)
+    k, n = pots.shape
+    A, B = pots[:, None], pots[None, :]
+    g = grad_matrix(geo.chain, pots)
+    # phi^T L(M) psi = 1/2 sum_ij omega_ij M_ij (phi_i - phi_j)(psi_i - psi_j)
+    # = 1/2 sum_ij M_ij (grad phi)_ij (grad psi)_ij, one product for all pairs
+    m = geo.m(A, B).reshape(k * k, n * n)
+    M = 0.5 * (m @ (g[:, None] * g[None, :]).reshape(k * k, n * n).T)
+    gam = geo.gamma(A, B).reshape(k * k, n)
+    G = gam @ geo.L @ gam.T
+    comm = geo.commutator(A, B).reshape(k * k, n)
+    C = comm @ geo.R @ comm.T
+    M, G, C = (X.reshape(k, k, k, k) for X in (M, G, C))
+    MGC = M + G + C
     return 0.25 * (
-        phis[1] @ L_of(m(phis[0], phis[2])) @ phis[3]
-        + phis[0] @ L_of(m(phis[1], phis[3])) @ phis[2]
-        - phis[1] @ L_of(m(phis[0], phis[3])) @ phis[2]
-        - phis[0] @ L_of(m(phis[1], phis[2])) @ phis[3]
-        + gam(phis[0], phis[2]) @ geo.L @ gam(phis[1], phis[3])
-        - gam(phis[1], phis[2]) @ geo.L @ gam(phis[0], phis[3])
-        + comm(phis[0], phis[2]) @ R @ comm(phis[1], phis[3])
-        - comm(phis[1], phis[2]) @ R @ comm(phis[0], phis[3])
-        + 2.0 * comm(phis[2], phis[3]) @ R @ comm(phis[0], phis[1])
+        np.einsum("acbd->abcd", MGC) - np.einsum("bcad->abcd", MGC)
+        + np.einsum("bdac->abcd", M) - np.einsum("adbc->abcd", M)
+        + 2.0 * np.einsum("cdab->abcd", C)
     )
 
 
@@ -159,7 +175,7 @@ def riemann(chain, model, phi1, phi2, phi3, phi4, p, route="assembled"):
     geo = PointGeometry(chain, model, p)
     phis = [np.asarray(f, dtype=float) for f in (phi1, phi2, phi3, phi4)]
     if route == "assembled":
-        return float(_riemann_assembled(geo, phis))
+        return float(_riemann_assembled(geo, phis)[0, 1, 2, 3])
     if route == "explicit":
         return float(_riemann_explicit(geo, phis))
     raise ValueError(f"unknown route {route!r}")
@@ -176,7 +192,7 @@ def sectional(chain, model, phi1, phi2, p):
     gram = a11 * a22 - a12 * a12
     if gram <= 1e-12 * max(a11 * a22, 0.0):
         raise DegeneratePlane(f"Gram determinant {gram:.3e} below tolerance")
-    num = _riemann_assembled(geo, [phi1, phi2, phi2, phi1])
+    num = _riemann_assembled(geo, [phi1, phi2])[0, 1, 1, 0]
     return float(num / gram)
 
 
@@ -186,15 +202,7 @@ def ricci_scalar(chain, model, p):
     Ric(e_a, e_b) = sum_c <R(e_c, e_a) e_b, e_c>; scalar = trace.
     """
     geo = PointGeometry(chain, model, p)
-    pots = frame_potentials(geo.L)
-    k = pots.shape[0]
-    ric = np.empty((k, k))
-    for a in range(k):
-        for b in range(a, k):
-            total = 0.0
-            for c in range(k):
-                total += _riemann_assembled(geo, [pots[c], pots[a], pots[b], pots[c]])
-            ric[a, b] = ric[b, a] = total
+    ric = np.einsum("cabc->ab", _riemann_assembled(geo, frame_potentials(geo.L)))
     return ric, float(np.trace(ric))
 
 
@@ -208,25 +216,18 @@ def _chart_metric(chain, model, x):
     return J.T @ R @ J
 
 
+def _central_differences(f, x, h):
+    """The central differences (f(x + h e_a) - f(x - h e_a)) / 2h, stacked
+    along a new leading axis a."""
+    return np.array([(f(x + e) - f(x - e)) / (2.0 * h) for e in h * np.eye(len(x))])
+
+
 def _chart_christoffel(chain, model, x, h_metric):
-    m = chain.n - 1
-    G0 = _chart_metric(chain, model, x)
-    dG = np.zeros((m, m, m))
-    for a in range(m):
-        e = np.zeros(m)
-        e[a] = h_metric
-        dG[a] = (_chart_metric(chain, model, x + e)
-                 - _chart_metric(chain, model, x - e)) / (2.0 * h_metric)
-    G_inv = np.linalg.inv(G0)
-    gam = np.zeros((m, m, m))
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                gam[i, j, k] = 0.5 * sum(
-                    G_inv[i, l] * (dG[j][l, k] + dG[k][l, j] - dG[l][j, k])
-                    for l in range(m)
-                )
-    return gam
+    G_inv = np.linalg.inv(_chart_metric(chain, model, x))
+    dG = _central_differences(lambda y: _chart_metric(chain, model, y), x, h_metric)
+    # Gamma^i_jk = 1/2 G^il (d_j G_lk + d_k G_lj - d_l G_jk); dG[a] = d_a G
+    lowered = np.einsum("jlk->ljk", dG) + np.einsum("klj->ljk", dG) - dG
+    return 0.5 * np.einsum("il,ljk->ijk", G_inv, lowered)
 
 
 def chart_curvature_oracle(chain, model, p, h_metric=1e-5, h_christoffel=1e-4):
@@ -239,23 +240,14 @@ def chart_curvature_oracle(chain, model, p, h_metric=1e-5, h_christoffel=1e-4):
     """
     p = check_interior(p)
     x = np.asarray(p, dtype=float)[:-1]
-    m = chain.n - 1
-    d_gam = np.zeros((m, m, m, m))
-    for a in range(m):
-        e = np.zeros(m)
-        e[a] = h_christoffel
-        d_gam[a] = (_chart_christoffel(chain, model, x + e, h_metric)
-                    - _chart_christoffel(chain, model, x - e, h_metric)) / (2.0 * h_christoffel)
+    d_gam = _central_differences(
+        lambda y: _chart_christoffel(chain, model, y, h_metric), x, h_christoffel)
     gam = _chart_christoffel(chain, model, x, h_metric)
-    r_up = np.zeros((m, m, m, m))
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                for l in range(m):
-                    r_up[i, j, k, l] = d_gam[k][i, l, j] - d_gam[l][i, k, j] + sum(
-                        gam[mm, l, j] * gam[i, k, mm] - gam[mm, k, j] * gam[i, l, mm]
-                        for mm in range(m)
-                    )
+    # R^i_jkl = d_k Gamma^i_lj - d_l Gamma^i_kj
+    #           + Gamma^m_lj Gamma^i_km - Gamma^m_kj Gamma^i_lm
+    r_up = (np.einsum("kilj->ijkl", d_gam) - np.einsum("likj->ijkl", d_gam)
+            + np.einsum("mlj,ikm->ijkl", gam, gam)
+            - np.einsum("mkj,ilm->ijkl", gam, gam))
     G0 = _chart_metric(chain, model, x)
     return np.einsum("im,mjkl->ijkl", G0, r_up)
 
@@ -287,25 +279,15 @@ def curvature_report(chain, model, p) -> CurvatureReport:
     """Frame curvature data at p, cross-checked against the chart oracle."""
     geo = PointGeometry(chain, model, p)
     pots = frame_potentials(geo.L)
-    k = pots.shape[0]
-    tensor = np.empty((k, k, k, k))
-    for a in range(k):
-        for b in range(k):
-            for c in range(k):
-                for d in range(k):
-                    tensor[a, b, c, d] = _riemann_assembled(
-                        geo, [pots[a], pots[b], pots[c], pots[d]])
+    tensor = _riemann_assembled(geo, pots)
     lowered = chart_curvature_oracle(chain, model, p)
-    E = np.array([(geo.L @ f)[:-1] for f in pots])
-    oracle = np.einsum("ijkl,di,cj,ak,bl->abcd", lowered, E, E, E, E)
+    E = geo.velocity(pots)[:, :-1]
+    oracle = np.einsum("ijkl,di,cj,ak,bl->abcd", lowered, E, E, E, E, optimize=True)
     residual = float(np.abs(tensor - oracle).max())
 
-    sec = np.full((k, k), np.nan)
-    for a in range(k):
-        for b in range(k):
-            if a != b:
-                # frame vectors are orthonormal, so the Gram determinant is 1
-                sec[a, b] = tensor[a, b, b, a]
+    # frame vectors are orthonormal, so the Gram determinant is 1
+    sec = np.einsum("abba->ab", tensor).copy()
+    np.fill_diagonal(sec, np.nan)
     ric = np.einsum("cabc->ab", tensor)
     return CurvatureReport(
         point=np.asarray(p, dtype=float).copy(),

@@ -165,9 +165,7 @@ def lattice3_sweep(model, resolution):
                          else _partials_route(geo))
             except EqualComponents:
                 forms = _partials_route(geo)
-            phi1 = geo.R @ _D1
-            phi2 = geo.R @ _D2
-            numerator = _riemann_assembled(geo, [phi1, phi2, phi2, phi1])
+            numerator = _riemann_assembled(geo, [geo.R @ _D1, geo.R @ _D2])[0, 1, 1, 0]
             rows[k, 3:] = (*forms, abs(numerator - forms[0]))
         except OnsagerGeoError:
             rows[k, 3:] = np.nan

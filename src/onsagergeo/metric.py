@@ -20,12 +20,17 @@ def response_matrix(chain, edge_values):
     L_ij = -omega_ij M_ij (i != j), L_ii = sum_k omega_ki M_ki.
 
     For M = theta this is the Onsager matrix; the same assembly applies to any
-    symmetric edge matrix (directional derivatives of theta, etc.).  Rows and
-    columns sum to zero.
+    symmetric edge matrix (directional derivatives of theta, etc.), and to
+    each matrix of a stack of shape (..., n, n).  Rows and columns sum to zero.
     """
     A = chain.omega * edge_values
     out = -A
-    np.fill_diagonal(out, A.sum(axis=0))  # omega's diagonal is zero
+    # the diagonal takes the column sums (omega's diagonal is zero);
+    # fill_diagonal is the cheaper call for a single matrix
+    if out.ndim == 2:
+        np.fill_diagonal(out, A.sum(axis=0))
+    else:
+        np.einsum("...ii->...i", out)[...] = A.sum(axis=-2)
     return out
 
 

@@ -207,10 +207,13 @@ def test_out_writes_a_file(tmp_path, capsys):
      {"model": {"kind": "kl"}, "p0": [0.6, 0.3, 0.2], "phi0": [0.1, 0.0, -0.1],
       "eta0": [1.0, 0.0, -1.0]},
      "config key 'p0': probabilities sum to"),
+    (["sweep"],
+     {"chain": [1], "model": {"kind": "kl"}},
+     "config key 'chain' must be an object"),
 ], ids=["unknown-key", "missing-point", "short-point", "missing-chain",
         "bad-model", "bad-rates", "bad-T", "missing-eta0", "off-simplex-point",
         "off-simplex-simulate", "off-simplex-geodesic", "off-simplex-p1",
-        "off-simplex-transport"])
+        "off-simplex-transport", "sweep-chain-not-object"])
 def test_config_errors(tmp_path, capsys, argv, config, message):
     code, out, err = run(capsys, argv, tmp_path, config)
     assert code == 1

@@ -29,7 +29,10 @@ from onsagergeo.acceptance import (
     random_potential,
     random_reversible_chain,
 )
-from onsagergeo.connection import contract_d1
+from onsagergeo.chains import build_reversible_chain
+from onsagergeo.connection import PointGeometry, contract_d1
+from onsagergeo.curvature import _riemann_explicit
+from onsagergeo.metric import frame_potentials
 
 LATTICE = lattice3_chain()
 KL = KLLogMean()
@@ -214,3 +217,62 @@ def test_curvature_report():
     assert_allclose(rep.ricci, rep.ricci.T, atol=1e-12 * (1 + abs(rep.ricci).max()))
     assert rep.scalar == pytest.approx(np.trace(rep.ricci), rel=1e-12)
     assert_allclose(rep.point, [0.5, 0.3, 0.2])
+
+
+def test_report_tensor_matches_the_explicit_route():
+    # every component of the batched frame tensor against the independent
+    # edge-sum route on the same frame potentials; points at pi are in the
+    # Taylor branch of the ratio means
+    rng = np.random.default_rng(11)
+    for n in (3, 4, 5):
+        for model in (KLLogMean(), AlphaMean(2.0), GeometricMean(0.7)):
+            chain = random_reversible_chain(rng, n)
+            for p in (random_interior_point(rng, n, floor=1e-2), chain.pi):
+                rep = curvature_report(chain, model, p)
+                geo = PointGeometry(chain, model, p)
+                pots = frame_potentials(geo.L)
+                k = n - 1
+                explicit = np.array([
+                    _riemann_explicit(geo, [pots[a], pots[b], pots[c], pots[d]])
+                    for a, b, c, d in np.ndindex(k, k, k, k)]).reshape(k, k, k, k)
+                assert_allclose(rep.riemann, explicit,
+                                rtol=0, atol=1e-9 * abs(explicit).max())
+
+
+def test_report_tensor_symmetries():
+    rng = np.random.default_rng(12)
+    chain = random_reversible_chain(rng, 6)
+    rep = curvature_report(chain, KL, random_interior_point(rng, 6, floor=1e-2))
+    T = rep.riemann
+    tol = 1e-10 * abs(T).max()
+    assert_allclose(T, -np.einsum("bacd->abcd", T), rtol=0, atol=tol)
+    assert_allclose(T, -np.einsum("abdc->abcd", T), rtol=0, atol=tol)
+    assert_allclose(T, np.einsum("cdab->abcd", T), rtol=0, atol=tol)
+    bianchi = T + np.einsum("bcad->abcd", T) + np.einsum("cabd->abcd", T)
+    assert abs(bianchi).max() < tol
+
+
+def _chain_with_edges(rng, n, n_edges):
+    """A reversible chain on a path backbone plus random extra pairs, with
+    exactly n_edges edges."""
+    pi = rng.dirichlet(np.full(n, 5.0))
+    pairs = [(i, j) for i in range(n) for j in range(i + 2, n)]
+    extra = rng.choice(len(pairs), size=n_edges - (n - 1), replace=False)
+    omega = np.zeros((n, n))
+    for i, j in [(i, i + 1) for i in range(n - 1)] + [pairs[e] for e in extra]:
+        omega[i, j] = omega[j, i] = rng.uniform(0.3, 1.5)
+    return build_reversible_chain(omega / pi[:, None])
+
+
+def test_report_at_ten_states():
+    rng = np.random.default_rng(13)
+    chain = _chain_with_edges(rng, 10, 18)
+    assert len(chain.edges) == 18
+    p = random_interior_point(rng, 10, floor=1e-2)
+    rep = curvature_report(chain, KL, p)
+    assert rep.riemann.shape == (9, 9, 9, 9)
+    assert rep.oracle_residual <= 1e-4 * abs(rep.riemann).max()
+    assert np.array_equal(rep.ricci, np.einsum("cabc->ab", rep.riemann))
+    ric, scal = ricci_scalar(chain, KL, p)
+    assert_allclose(ric, rep.ricci, rtol=0, atol=1e-12 * abs(rep.ricci).max())
+    assert scal == pytest.approx(rep.scalar, rel=1e-12)
