@@ -25,12 +25,11 @@ def response_matrix(chain, edge_values):
     """
     A = chain.omega * edge_values
     out = -A
-    # the diagonal takes the column sums (omega's diagonal is zero);
-    # fill_diagonal is the cheaper call for a single matrix
-    if out.ndim == 2:
-        np.fill_diagonal(out, A.sum(axis=0))
-    else:
-        np.einsum("...ii->...i", out)[...] = A.sum(axis=-2)
+    # the diagonal takes the column sums (omega's diagonal is zero); out is a
+    # fresh contiguous array, so the reshape is a view and every n+1-th entry
+    # of a flattened matrix is its diagonal
+    n = out.shape[-1]
+    out.reshape(-1, n * n)[:, :: n + 1] = A.sum(axis=-2).reshape(-1, n)
     return out
 
 
