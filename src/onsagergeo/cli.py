@@ -78,9 +78,18 @@ def get_point(cfg, key, n):
         raise ConfigError(f"config key '{key}': {exc}") from None
 
 
+def get_potential(cfg, key, n):
+    """A config vector of n finite numbers."""
+    arr = get_vector(cfg, key, n)
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"config key '{key}' must have finite entries")
+    return arr
+
+
 def get_number(cfg, key, default):
     value = cfg.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not np.isfinite(value) or value <= 0):
         raise ConfigError(f"config key '{key}' must be a positive number")
     return float(value)
 
@@ -232,7 +241,7 @@ def cmd_geodesic(args):
             raise ConfigError("config key 'nsteps' must be a positive integer")
         _, rec, _ = geodesic_bvp(chain, model, p0, p1, nsteps=nsteps)
     else:
-        phi0 = mean_zero(get_vector(cfg, "phi0", chain.n))
+        phi0 = mean_zero(get_potential(cfg, "phi0", chain.n))
         T = get_number(cfg, "T", 1.0)
         dt = get_number(cfg, "dt", 1e-3)
         rec = geodesic_ivp(chain, model, p0, phi0, T, dt)
@@ -247,8 +256,8 @@ def cmd_transport(args):
     chain = build_chain(cfg, args.preset)
     model = build_model(cfg)
     p0 = get_point(cfg, "p0", chain.n)
-    phi0 = mean_zero(get_vector(cfg, "phi0", chain.n))
-    eta0 = get_vector(cfg, "eta0", chain.n)
+    phi0 = mean_zero(get_potential(cfg, "phi0", chain.n))
+    eta0 = get_potential(cfg, "eta0", chain.n)
     T = get_number(cfg, "T", 1.0)
     dt = get_number(cfg, "dt", 1e-3)
     states = parallel_transport(chain, model, GeodesicPath(p0, phi0, T), eta0, dt)

@@ -9,7 +9,7 @@ import numpy as np
 import scipy.linalg
 
 from .chains import grad_matrix
-from .dynamics import Energy, _time_grid, advance_interior, rk4_step
+from .dynamics import Energy, march
 from .errors import BvpNoConvergence, OnsagerGeoError
 from .metric import (
     curve_velocity,
@@ -19,7 +19,7 @@ from .metric import (
     pseudo_inverse,
     response_matrix,
 )
-from .mobility import EPS_BOUNDARY, check_interior
+from .mobility import check_interior
 
 
 def contract_d1(d1, vec):
@@ -181,6 +181,11 @@ def _geodesic_rate(geo, phi):
     return geo.velocity(phi), -0.5 * geo.gamma(phi, phi)
 
 
+def _center(v):
+    """Shift v (or each column of a 2-D v) to mean zero, in place."""
+    v -= v.mean(axis=0)
+
+
 def _speed(chain, model, p, phi):
     L = response_matrix(chain, model.theta_matrix(chain, p))
     return float(np.sqrt(max(phi @ L @ phi, 0.0)))
@@ -191,23 +196,11 @@ def geodesic_ivp(chain, model, p0, phi0, T, dt) -> GeodesicRecord:
     dgamma/dt = L(theta) Phi,   dPhi_i/dt = -1/2 sum_j (grad Phi)_ij^2 dtheta_ij/dp_i
     with RK4, projecting Phi to mean zero after every step."""
     n = chain.n
-    p0 = check_interior(p0)
-    phi0 = mean_zero(phi0)
+    y0 = np.concatenate([check_interior(p0), mean_zero(phi0)])
     f = lambda y: np.concatenate(_geodesic_rate(PointGeometry(chain, model, y[:n]), y[n:]))
-    is_ok = lambda y: bool((y[:n] >= EPS_BOUNDARY).all())
-    times = _time_grid(T, dt)
-    states = np.empty((len(times), n))
-    pots = np.empty((len(times), n))
-    speeds = np.empty(len(times))
-    y = np.concatenate([p0, phi0])
-    states[0], pots[0] = p0, phi0
-    speeds[0] = _speed(chain, model, p0, phi0)
-    for k in range(1, len(times)):
-        y = advance_interior(f, y, times[k] - times[k - 1], is_ok)
-        y[n:] -= y[n:].mean()
-        states[k] = y[:n]
-        pots[k] = y[n:]
-        speeds[k] = _speed(chain, model, y[:n], y[n:])
+    times, table = march(f, y0, T, dt, guard=n, project=lambda y: _center(y[n:]))
+    states, pots = table[:, :n], table[:, n:]
+    speeds = np.array([_speed(chain, model, p, phi) for p, phi in zip(states, pots)])
     return GeodesicRecord(times, states, pots, speeds)
 
 
@@ -252,19 +245,11 @@ def geodesic_bvp(chain, model, p0, p1, nsteps=100, tol=1e-9, max_iter=50,
         for _ in range(max_iter):
             if norm < tol:
                 break
-            J = np.empty((n - 1, n - 1))
             h = 1e-7 * (1.0 + np.abs(x).max())
-            failed = False
-            for k in range(n - 1):
-                e = np.zeros(n - 1)
-                e[k] = h
-                try:
-                    rk, _ = shoot(x + e)
-                except OnsagerGeoError:
-                    failed = True
-                    break
-                J[:, k] = (rk[:-1] - r[:-1]) / h
-            if failed:
+            try:
+                J = np.column_stack([(shoot(x + e)[0][:-1] - r[:-1]) / h
+                                     for e in h * np.eye(n - 1)])
+            except OnsagerGeoError:
                 break
             try:
                 delta = np.linalg.solve(J, -r[:-1])
@@ -356,29 +341,23 @@ def parallel_transport(chain, model, path, eta0, dt):
     n = chain.n
 
     def state(t, gamma, phi, eta):
-        return TransportState(float(t), gamma, phi, eta[:, 0].copy() if single else eta.copy())
+        eta = eta.reshape(n, -1)
+        return TransportState(float(t), gamma, phi, eta[:, 0] if single else eta)
 
     if isinstance(path, GeodesicPath):
-        p0 = check_interior(path.p0)
-        phi0 = mean_zero(path.phi0)
-
         def f(y):
             geo = PointGeometry(chain, model, y[:n])
             phi = y[n:2 * n]
             deta = _transport_rate(geo, phi, y[2 * n:].reshape(n, -1))
             return np.concatenate([*_geodesic_rate(geo, phi), deta.ravel()])
 
-        is_ok = lambda y: bool((y[:n] >= EPS_BOUNDARY).all())
-        times = _time_grid(path.T, dt)
-        y = np.concatenate([p0, phi0, H.ravel()])
-        out = [state(0.0, p0.copy(), phi0.copy(), H)]
-        for k in range(1, len(times)):
-            y = advance_interior(f, y, times[k] - times[k - 1], is_ok)
-            y[n:2 * n] -= y[n:2 * n].mean()
-            eta = y[2 * n:].reshape(n, -1)
-            eta -= eta.mean(axis=0)
-            out.append(state(times[k], y[:n].copy(), y[n:2 * n].copy(), eta))
-        return out
+        def project(y):
+            _center(y[n:2 * n])
+            _center(y[2 * n:].reshape(n, -1))
+
+        y0 = np.concatenate([check_interior(path.p0), mean_zero(path.phi0), H.ravel()])
+        times, table = march(f, y0, path.T, dt, guard=n, project=project)
+        return [state(t, y[:n], y[n:2 * n], y[2 * n:]) for t, y in zip(times, table)]
 
     if isinstance(path, SampledPath):
         times = np.asarray(path.times, dtype=float)
@@ -399,16 +378,11 @@ def parallel_transport(chain, model, path, eta0, dt):
             deta = _transport_rate(geo, at(t, pots), y[1:].reshape(n, -1))
             return np.concatenate([[1.0], deta.ravel()])
 
-        grid = times[0] + _time_grid(times[-1] - times[0], dt)
-        y = np.concatenate([grid[:1], H.ravel()])
-        out = [state(grid[0], at(grid[0], states), at(grid[0], pots), H)]
-        for t1 in grid[1:]:
-            y = rk4_step(f, y, t1 - y[0])
-            y[0] = t1
-            eta = y[1:].reshape(n, -1)
-            eta -= eta.mean(axis=0)
-            out.append(state(t1, at(t1, states), at(t1, pots), eta))
-        return out
+        y0 = np.concatenate([times[:1], H.ravel()])
+        grid, table = march(f, y0, times[-1] - times[0], dt, guard=0,
+                            project=lambda y: _center(y[1:].reshape(n, -1)))
+        return [state(t, at(t, states), at(t, pots), y[1:])
+                for t, y in zip(times[0] + grid, table)]
 
     raise TypeError("path must be a GeodesicPath or a SampledPath")
 

@@ -1,6 +1,8 @@
 """Master-equation integration, the gradient-flow reformulation, metric
 gradients of energies, and dissipation bookkeeping."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.linalg
 
@@ -109,8 +111,8 @@ def advance_interior(f, y, dt, is_ok, depth=0):
 
 
 def _time_grid(T, dt):
-    if dt <= 0 or T < 0:
-        raise ValueError("need dt > 0 and T >= 0")
+    if not (np.isfinite(T) and np.isfinite(dt)) or dt <= 0 or T < 0:
+        raise ValueError("need dt > 0 and T >= 0, both finite")
     steps = int(np.floor(T / dt + 1e-12))
     times = [k * dt for k in range(steps + 1)]
     if T - times[-1] > 1e-12 * max(1.0, T):
@@ -118,19 +120,43 @@ def _time_grid(T, dt):
     return np.array(times)
 
 
+def march(f, y0, T, dt, guard, project=None):
+    """RK4 from y0 over `_time_grid(T, dt)`, one `advance_interior` step per
+    interval.  Each step must keep the first `guard` entries of the state at
+    or above EPS_BOUNDARY (failing steps are halved); `project`, if given,
+    corrects each new state in place.  Returns the grid and the
+    (len(times), len(y0)) table of states."""
+    y = np.array(y0, dtype=float)
+    if not np.isfinite(y).all():
+        raise ValueError("initial state has a non-finite entry")
+    times = _time_grid(T, dt)
+    is_ok = lambda z: bool((z[:guard] >= EPS_BOUNDARY).all())
+    table = np.empty((len(times), len(y)))
+    table[0] = y
+    for k in range(1, len(times)):
+        step = times[k] - times[k - 1]
+        try:
+            y = advance_interior(f, y, step, is_ok)
+        except StepLeavesSimplex as exc:
+            low = f", smallest guarded entry {y[:guard].min():.3e}" if guard else ""
+            raise StepLeavesSimplex(
+                f"{exc} (t = {times[k - 1]:.6g}, step {step:.6g}{low})") from None
+        if project is not None:
+            project(y)
+        table[k] = y
+    return times, table
+
+
+@dataclass
 class Trajectory:
-    """A recorded master-equation solution with its energy ledger.
+    """A recorded master-equation solution with its energy ledger: energy is
+    D_f per time, and the decay rate is recorded two ways (dissipation_pair)."""
 
-    Attributes: times, states (k x n), energy (D_f per time), and the two
-    dissipation records dissipation_quadratic / dissipation_edgesum.
-    """
-
-    def __init__(self, times, states, energy, dq, de):
-        self.times = times
-        self.states = states
-        self.energy = energy
-        self.dissipation_quadratic = dq
-        self.dissipation_edgesum = de
+    times: np.ndarray
+    states: np.ndarray                 # p(t), row per time
+    energy: np.ndarray
+    dissipation_quadratic: np.ndarray
+    dissipation_edgesum: np.ndarray
 
     def final_state(self):
         return self.states[-1]
@@ -154,16 +180,8 @@ def integrate(chain, model, p0, T, dt) -> Trajectory:
     Steps that would leave the eps-interior are retaken as half steps
     (recursively, bounded); the recorded grid keeps the requested dt.
     """
-    p = as_simplex_point(p0)
     A = chain.flow_matrix()
-    f = lambda q: A @ q
-    is_ok = lambda q: bool((q >= EPS_BOUNDARY).all())
-    times = _time_grid(T, dt)
-    states = np.empty((len(times), chain.n))
-    states[0] = p
-    for k in range(1, len(times)):
-        p = advance_interior(f, p, times[k] - times[k - 1], is_ok)
-        states[k] = p
+    times, states = march(lambda q: A @ q, as_simplex_point(p0), T, dt, guard=chain.n)
     energy = np.array([model.divergence(chain, q) for q in states])
     pairs = [dissipation_pair(chain, model, q) for q in states]
     dq = np.array([a for a, _ in pairs])

@@ -210,10 +210,29 @@ def test_out_writes_a_file(tmp_path, capsys):
     (["sweep"],
      {"chain": [1], "model": {"kind": "kl"}},
      "config key 'chain' must be an object"),
+    (["transport", "--preset", "lattice3"],
+     {"model": {"kind": "kl"}, "p0": [0.5, 0.3, 0.2], "phi0": [0.1, 0.0, -0.1],
+      "eta0": [float("nan"), 0.0, 0.0]},
+     "config key 'eta0' must have finite entries"),
+    (["geodesic", "--preset", "lattice3"],
+     {"model": {"kind": "kl"}, "p0": [0.5, 0.3, 0.2], "phi0": [0.1, 0.0, -0.1],
+      "dt": float("inf")},
+     "config key 'dt' must be a positive number"),
+    (["simulate", "--preset", "lattice3"],
+     {"model": {"kind": "kl"}, "p0": [0.5, 0.3, 0.2], "T": float("inf")},
+     "config key 'T' must be a positive number"),
+    (["simulate", "--preset", "lattice3"],
+     {"model": {"kind": "kl"}, "p0": [0.5, 0.3, 0.2], "dt": float("nan")},
+     "config key 'dt' must be a positive number"),
+    (["geodesic", "--preset", "lattice3"],
+     {"model": {"kind": "kl"}, "p0": [0.5, 0.3, 0.2],
+      "phi0": [float("nan"), 0.0, -0.1]},
+     "config key 'phi0' must have finite entries"),
 ], ids=["unknown-key", "missing-point", "short-point", "missing-chain",
         "bad-model", "bad-rates", "bad-T", "missing-eta0", "off-simplex-point",
         "off-simplex-simulate", "off-simplex-geodesic", "off-simplex-p1",
-        "off-simplex-transport", "sweep-chain-not-object"])
+        "off-simplex-transport", "sweep-chain-not-object", "nan-eta0",
+        "inf-dt-geodesic", "inf-T-simulate", "nan-dt-simulate", "nan-phi0"])
 def test_config_errors(tmp_path, capsys, argv, config, message):
     code, out, err = run(capsys, argv, tmp_path, config)
     assert code == 1

@@ -286,6 +286,25 @@ def test_transport_on_a_sampled_path_matches_the_geodesic_route():
     assert abs(sampled[-1].eta - direct[-1].eta).max() < 1e-6
 
 
+def test_transport_and_geodesic_integrations_agree_exactly():
+    # both step the same geodesic system on the same grid, short last step
+    # included, so the geodesic part of the transport state is the same bits
+    rng = np.random.default_rng(54)
+    for model in CURVED_MODELS:
+        for _ in range(3):
+            chain, p = _case(rng)
+            phi0 = _scaled_potential(chain, model, p, rng.normal(size=chain.n),
+                                     speed=0.05)
+            eta0 = random_potential(rng, chain.n)
+            rec = geodesic_ivp(chain, model, p, phi0, 0.25, 0.1)
+            states = parallel_transport(chain, model, GeodesicPath(p, phi0, 0.25),
+                                        eta0, 0.1)
+            assert_allclose(rec.times, [0.0, 0.1, 0.2, 0.25], rtol=0, atol=1e-15)
+            assert np.array_equal([s.t for s in states], rec.times)
+            assert np.array_equal([s.gamma for s in states], rec.states)
+            assert np.array_equal([s.phi for s in states], rec.potentials)
+
+
 def test_transport_rate_is_minus_the_connection():
     rng = np.random.default_rng(53)
     for _ in range(10):
@@ -303,6 +322,11 @@ def test_transport_input_validation():
     with pytest.raises(ValueError, match="eta0 must have"):
         parallel_transport(LATTICE, KL, GeodesicPath(UNIFORM, np.zeros(3)),
                            np.zeros(4), 0.1)
+    with pytest.raises(ValueError, match="non-finite"):
+        parallel_transport(LATTICE, KL, GeodesicPath(UNIFORM, np.zeros(3)),
+                           np.array([np.nan, 0.0, 0.0]), 0.1)
+    with pytest.raises(ValueError, match="non-finite"):
+        geodesic_ivp(LATTICE, KL, UNIFORM, np.array([np.nan, 0.0, 0.0]), 1.0, 0.1)
     with pytest.raises(TypeError, match="GeodesicPath or a SampledPath"):
         parallel_transport(LATTICE, KL, (np.arange(3), np.eye(3)),
                            np.zeros(3), 0.1)

@@ -145,13 +145,28 @@ def test_stiff_step_near_a_vertex_is_caught():
         integrate(chain, KL, p0, 1.0, 0.5)
 
 
+def test_step_failure_names_its_time_step_and_margin():
+    Q = 1e8 * np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    chain = build_reversible_chain(Q)
+    p0 = np.array([1.0 - 2e-6, 1e-6, 1e-6])
+    with pytest.raises(StepLeavesSimplex) as info:
+        integrate(chain, KL, p0, 1.0, 0.5)
+    message = str(info.value)
+    assert "left the simplex interior after 20 halvings" in message
+    assert "t = 0," in message
+    assert "step 0.5," in message
+    assert "smallest guarded entry 1.000e-06" in message
+
+
 def test_time_grid():
     assert_allclose(_time_grid(0.0, 0.1), [0.0])
     assert_allclose(_time_grid(0.25, 0.1), [0.0, 0.1, 0.2, 0.25])
     assert_allclose(_time_grid(0.3, 0.1), [0.0, 0.1, 0.2, 0.3])
     with pytest.raises(ValueError, match="need dt > 0"):
         _time_grid(1.0, 0.0)
-
+    for T, dt in [(np.inf, 0.1), (np.nan, 0.1), (1.0, np.inf), (1.0, np.nan)]:
+        with pytest.raises(ValueError, match="need dt > 0"):
+            _time_grid(T, dt)
 
 def test_energy_hessian_fallback_matches_analytic_diagonal():
     analytic = divergence_energy(KL, LATTICE)
