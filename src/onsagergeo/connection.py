@@ -2,7 +2,7 @@
 coupling operator Gamma, the Levi-Civita connection, parallel transport,
 geodesics (initial- and boundary-value), and Hessian forms."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -23,10 +23,11 @@ from .mobility import check_interior
 
 
 def contract_d1(d1, vec):
-    """Contract the theta partials against a vertex vector (or each vector of
-    a stack, shape (..., n)):
+    """Contract the theta partials (one matrix, or a stack of shape
+    (..., n, n)) against a vertex vector (or each vector of a stack, shape
+    (..., n)):
     out_ij = (d theta_ij/d p_i) vec_i + (d theta_ij/d p_j) vec_j."""
-    return d1 * vec[..., None] + d1.T * vec[..., None, :]
+    return d1 * vec[..., None] + d1.mT * vec[..., None, :]
 
 
 def _matvec(M, v):
@@ -43,6 +44,11 @@ class PointGeometry:
     of them of shape (..., n); a method taking two potentials broadcasts
     their leading axes, so `m(pots[:, None], pots[None, :])` is the (k, k)
     table of every pair.  The model's evaluation validates p.
+
+    p may also be a stack of B points of shape (B, n) on the one chain.  Then
+    theta, d1 and L are (B, n, n) stacks, and the methods take one potential
+    per point, shape (..., B, n), and return one result per point; R needs a
+    single point.
     """
 
     def __init__(self, chain, model, p):
@@ -63,7 +69,10 @@ class PointGeometry:
 
     def velocity(self, phi):
         """The tangent vector V_phi = L(theta) phi."""
-        return phi @ self.L.T  # L phi, row by row for a stack
+        if self.L.ndim == 2:
+            return phi @ self.L.T  # L phi, row by row for a stack
+        # one matrix-vector product per point: row b of phi by L[b]
+        return (phi[..., None, :] @ self.L.mT)[..., 0, :]
 
     def dtheta(self, v):
         """Directional derivative of theta along the vertex vector v."""
@@ -93,7 +102,7 @@ class PointGeometry:
         va, vb = self.velocity(phi_a), self.velocity(phi_b)
         vb_i, vb_j = vb[..., None], vb[..., None, :]
         dd_i = s_ii * vb_i + s_ij * vb_j
-        dd_j = s_ij * vb_i + s_ii.T * vb_j
+        dd_j = s_ij * vb_i + s_ii.mT * vb_j
         return dd_i * va[..., None] + dd_j * va[..., None, :]
 
     def nabla_theta_L(self, phi_a, phi_b):
@@ -166,10 +175,25 @@ def koszul_scalar(chain, model, phi1, phi2, phi3, p):
 
 @dataclass
 class GeodesicRecord:
+    """A geodesic sampled on a time grid.  From a (B, n) stack of initial
+    potentials, states and potentials are (len(times), B, n) and the speeds
+    (len(times), B)."""
+
     times: np.ndarray
     states: np.ndarray      # gamma(t), row per time
     potentials: np.ndarray  # Phi(t), mean-zero
-    speeds: np.ndarray      # sqrt(<V_Phi, V_Phi>)
+    chain: object = field(repr=False)
+    model: object = field(repr=False)
+
+    @cached_property
+    def speeds(self):
+        """sqrt(<V_Phi, V_Phi>) per recorded state, computed on first read
+        one state at a time (a stacked L at every row would hold
+        len(times) n^2 doubles)."""
+        n = self.chain.n
+        rows = zip(self.states.reshape(-1, n), self.potentials.reshape(-1, n))
+        speeds = [_speed(self.chain, self.model, p, phi) for p, phi in rows]
+        return np.array(speeds).reshape(self.states.shape[:-1])
 
     def final_state(self):
         return self.states[-1]
@@ -177,7 +201,7 @@ class GeodesicRecord:
 
 def _geodesic_rate(geo, phi):
     """(dgamma/dt, dPhi/dt) = (L(theta) Phi, -1/2 Gamma(Phi, Phi)) at the
-    bundle's point."""
+    bundle's point (or points)."""
     return geo.velocity(phi), -0.5 * geo.gamma(phi, phi)
 
 
@@ -194,18 +218,64 @@ def _speed(chain, model, p, phi):
 def geodesic_ivp(chain, model, p0, phi0, T, dt) -> GeodesicRecord:
     """Integrate the geodesic system
     dgamma/dt = L(theta) Phi,   dPhi_i/dt = -1/2 sum_j (grad Phi)_ij^2 dtheta_ij/dp_i
-    with RK4, projecting Phi to mean zero after every step."""
+    with RK4, projecting Phi to mean zero after every step.
+
+    phi0 may be a (B, n) stack: the B geodesics from p0 (one point, or one
+    per potential) are integrated as one system with state
+    [all B points | all B potentials].  The step guard covers every point,
+    so a step that one geodesic must halve is halved for all of them.
+    """
     n = chain.n
-    y0 = np.concatenate([check_interior(p0), mean_zero(phi0)])
-    f = lambda y: np.concatenate(_geodesic_rate(PointGeometry(chain, model, y[:n]), y[n:]))
-    times, table = march(f, y0, T, dt, guard=n, project=lambda y: _center(y[n:]))
-    states, pots = table[:, :n], table[:, n:]
-    speeds = np.array([_speed(chain, model, p, phi) for p, phi in zip(states, pots)])
-    return GeodesicRecord(times, states, pots, speeds)
+    phi0 = mean_zero(phi0)
+    shape = phi0.shape  # (n,) or (B, n)
+    size = phi0.size
+    p0 = np.broadcast_to(check_interior(p0), shape)
+    y0 = np.concatenate([p0.ravel(), phi0.ravel()])
+
+    def f(y):
+        geo = PointGeometry(chain, model, y[:size].reshape(shape))
+        return np.concatenate([r.ravel() for r in _geodesic_rate(geo, y[size:].reshape(shape))])
+
+    # the transposed view puts each geodesic's potential in a column
+    project = lambda y: _center(y[size:].reshape(-1, n).T)
+    times, table = march(f, y0, T, dt, guard=size, project=project)
+    states = table[:, :size].reshape(-1, *shape)
+    pots = table[:, size:].reshape(-1, *shape)
+    return GeodesicRecord(times, states, pots, chain, model)
 
 
 def _mean_zero_basis(n):
     return scipy.linalg.null_space(np.ones((1, n)))  # (n, n-1), orthonormal
+
+
+# Doubles in one (B, n, n) temporary of a stacked Jacobian shot: the base and
+# its perturbations are shot in blocks of B <= JACOBIAN_BLOCK / n^2 points.
+JACOBIAN_BLOCK = 2**20
+
+
+def _jacobian_width(n):
+    """Perturbed columns per stacked Jacobian shot, beside their base; 0 when
+    two points would not fit the block budget."""
+    return JACOBIAN_BLOCK // n**2 - 1
+
+
+def _shooting_jacobian(shoot, x, r, h):
+    """Forward-difference Jacobian of the endpoint residual over the first
+    n-1 coordinates, at x with residual r = shoot(x) and step h.
+
+    `shoot` maps x, or a (B, n-1) stack of them, to the endpoint residuals
+    and the record.  The base x is shot again beside each block of
+    perturbations and every column is differenced against the base of its
+    own stack, so a step halved for one column is halved for its base too.
+    Where two points exceed the block budget each column is shot alone and
+    differenced against r."""
+    m = len(x)
+    cols = x + h * np.eye(m)
+    width = _jacobian_width(len(r))
+    if width < 1:
+        return np.column_stack([(shoot(c)[0][:-1] - r[:-1]) / h for c in cols])
+    blocks = [shoot(np.vstack([x, cols[k:k + width]]))[0] for k in range(0, m, width)]
+    return np.hstack([(R[1:, :-1] - R[0, :-1]).T / h for R in blocks])
 
 
 def geodesic_bvp(chain, model, p0, p1, nsteps=100, tol=1e-9, max_iter=50,
@@ -213,23 +283,36 @@ def geodesic_bvp(chain, model, p0, p1, nsteps=100, tol=1e-9, max_iter=50,
     """Single shooting for the two-point geodesic problem on [0, 1].
 
     Damped Newton on the endpoint residual gamma(1) - p1 over mean-zero initial
-    potentials; the Jacobian is taken by forward differences.  Returns
+    potentials; the Jacobian is taken by forward differences, its columns
+    shot as stacks of at most JACOBIAN_BLOCK / n^2 geodesics
+    (`_shooting_jacobian`).  Returns
     (phi0, GeodesicRecord, length).
     """
+    if not nsteps >= 1:
+        raise ValueError(f"nsteps must be at least 1, got {nsteps!r}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if not max_iter >= 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+    if not restarts >= 0:
+        raise ValueError(f"restarts must be at least 0, got {restarts!r}")
     p0 = check_interior(p0)
     p1 = check_interior(p1)
+    if abs(p1.sum() - p0.sum()) > 1e-12:
+        raise ValueError(f"p1 has mass {p1.sum()!r} but p0 has {p0.sum()!r}; "
+                         "a geodesic conserves mass")
     n = chain.n
-    B = _mean_zero_basis(n)
+    U = _mean_zero_basis(n)
     dt = 1.0 / nsteps
 
     def shoot(x):
-        rec = geodesic_ivp(chain, model, p0, B @ x, 1.0, dt)
+        rec = geodesic_ivp(chain, model, p0, _matvec(U, x), 1.0, dt)
         return rec.final_state() - p1, rec
 
     R0 = pseudo_inverse(onsager_matrix(chain, model.theta_matrix(chain, p0)))
-    x_init = B.T @ (R0 @ (p1 - p0))
+    x_init = U.T @ (R0 @ (p1 - p0))
     rng = np.random.default_rng(seed)
-    best = np.inf
+    best, best_steps, failed = np.inf, 0, 0
 
     for attempt in range(restarts + 1):
         if attempt == 0:
@@ -240,15 +323,16 @@ def geodesic_bvp(chain, model, p0, p1, nsteps=100, tol=1e-9, max_iter=50,
         try:
             r, rec = shoot(x)
         except OnsagerGeoError:
+            failed += 1
             continue
         norm = np.abs(r).max()
+        steps = 0
         for _ in range(max_iter):
             if norm < tol:
                 break
             h = 1e-7 * (1.0 + np.abs(x).max())
             try:
-                J = np.column_stack([(shoot(x + e)[0][:-1] - r[:-1]) / h
-                                     for e in h * np.eye(n - 1)])
+                J = _shooting_jacobian(shoot, x, r, h)
             except OnsagerGeoError:
                 break
             try:
@@ -270,11 +354,16 @@ def geodesic_bvp(chain, model, p0, p1, nsteps=100, tol=1e-9, max_iter=50,
                 lam *= 0.5
             if not improved:
                 break
-        best = min(best, norm)
+            steps += 1
+        if norm < best:
+            best, best_steps = norm, steps
         if norm < tol:
             length = float(np.trapezoid(rec.speeds, rec.times))
-            return B @ x, rec, length
-    raise BvpNoConvergence(f"shooting failed; best endpoint residual {best:.3e}")
+            return U @ x, rec, length
+    raise BvpNoConvergence(
+        f"shooting failed; best endpoint residual {best:.3e} after {best_steps} "
+        f"Newton iterations, over the first start and {restarts} restarts "
+        f"({failed} of {restarts + 1} failed to shoot)")
 
 
 # -- parallel transport ----------------------------------------------------------

@@ -10,9 +10,10 @@ KERNEL_RTOL = 1e-12  # eigenvalues below KERNEL_RTOL * lambda_max count as kerne
 
 
 def mean_zero(phi):
-    """Project a potential to the mean-zero gauge."""
+    """Project a potential, or each potential of a stack (..., n), to the
+    mean-zero gauge."""
     phi = np.asarray(phi, dtype=float)
-    return phi - phi.mean()
+    return phi - phi.mean(axis=-1, keepdims=True)
 
 
 def response_matrix(chain, edge_values):

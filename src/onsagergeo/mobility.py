@@ -40,6 +40,18 @@ def check_interior(p, eps=EPS_BOUNDARY):
     return p
 
 
+def _zero_diagonal(m):
+    """Zero the diagonal of a square matrix, or of each matrix of a stack of
+    shape (..., n, n), in place."""
+    r = np.arange(m.shape[-1])
+    m[..., r, r] = 0.0
+
+
+def _outer(v):
+    """v_i v_j for a vector, or for each vector of a stack of shape (..., n)."""
+    return v[..., :, None] * v[..., None, :]
+
+
 def as_simplex_point(p, eps=EPS_BOUNDARY):
     """Validate an interior simplex point (positive entries, sums to one)."""
     p = check_interior(p, eps)
@@ -51,7 +63,11 @@ def as_simplex_point(p, eps=EPS_BOUNDARY):
 
 class MobilityModel:
     """Base class; concrete models provide full-pair matrices of theta and its
-    partial derivatives (entry [i, j] differentiates theta_ij by p_i)."""
+    partial derivatives (entry [i, j] differentiates theta_ij by p_i).
+
+    Every accessor also takes a stack of points of shape (..., n) on the one
+    chain and returns one matrix per point, shape (..., n, n).
+    """
 
     kind = "abstract"
     has_divergence = False
@@ -165,31 +181,33 @@ class _DivergenceMean(_RatioMean):
 
     def _branching(self, chain, p):
         """Ratios plus the generic-branch plumbing.  The scalar family is
-        evaluated on the ratio vector (n calls, broadcast to pairs); `near`
-        marks pairs needing the Taylor branch and always holds the diagonal."""
+        evaluated on the ratio vectors (n calls per point, broadcast to
+        pairs); `near` marks pairs needing the Taylor branch and always holds
+        the diagonal."""
         z, s = self._ratios(chain, p)
         f1v = self.f1(z)
         f2v = self.f2(z)
         if (f2v <= 0).any():
             raise NonconvexF(f"f'' <= 0 at a sampled ratio ({self.kind})")
-        diff = z[None, :] - z[:, None]
+        diff = z[..., None, :] - z[..., :, None]
         near = np.abs(diff) < DELTA_RATIO
-        safe = np.where(near, 1.0, f1v[None, :] - f1v[:, None])
+        safe = np.where(near, 1.0, f1v[..., None, :] - f1v[..., :, None])
         return z, s, f2v, diff, near, safe
 
     def _near_patch(self, z, near):
         """Index/midpoint data for off-diagonal pairs in the Taylor regime,
-        or None when every off-diagonal pair is generic (the usual case)."""
-        if np.count_nonzero(near) == near.shape[0]:  # diagonal only
+        over every point of a stack, or None when every off-diagonal pair is
+        generic (the usual case)."""
+        if np.count_nonzero(near) == z.size:  # diagonals only
             return None
         off = near.copy()
-        np.fill_diagonal(off, False)
-        rows, cols = np.nonzero(off)
-        if rows.size == 0:
+        _zero_diagonal(off)
+        idx = np.nonzero(off)
+        if idx[0].size == 0:
             return None
-        mid = 0.5 * (z[rows] + z[cols])
-        half = 0.5 * (z[cols] - z[rows])
-        return (rows, cols), mid, half
+        *lead, rows, cols = idx
+        zi, zj = z[(*lead, rows)], z[(*lead, cols)]
+        return idx, 0.5 * (zi + zj), 0.5 * (zj - zi)
 
     def _taylor_theta(self, mid, half):
         """Two-term Taylor expansion of theta about the midpoint ratio."""
@@ -217,21 +235,21 @@ class _DivergenceMean(_RatioMean):
         """Full-pair theta and D1 from one branching pass."""
         z, s, f2v, diff, near, safe = self._branching(chain, p)
         t = diff / safe
-        d = (t * f2v[:, None] - 1.0) / safe
+        d = (t * f2v[..., :, None] - 1.0) / safe
         patch = self._near_patch(z, near)
         if patch is not None:
             idx, mid, half = patch
             t[idx] = self._taylor_theta(mid, half)
             d[idx] = self._taylor_d1(mid, half)
-        np.fill_diagonal(d, 0.0)
+        _zero_diagonal(d)
         return t, d * s[:, None]
 
     def _d2_full(self, chain, p):
         z, s, f2v, diff, near, safe = self._branching(chain, p)
         t = diff / safe
-        f2i = f2v[:, None]
-        f2j = f2v[None, :]
-        s_ii = 2.0 * f2i * (t * f2i - 1.0) / safe**2 + t * self.f3(z)[:, None] / safe
+        f2i = f2v[..., :, None]
+        f2j = f2v[..., None, :]
+        s_ii = 2.0 * f2i * (t * f2i - 1.0) / safe**2 + t * self.f3(z)[..., :, None] / safe
         s_ij = (f2i + f2j - 2.0 * t * f2i * f2j) / safe**2
         patch = self._near_patch(z, near)
         if patch is not None:
@@ -244,8 +262,8 @@ class _DivergenceMean(_RatioMean):
                 self.f5(mid) / (6.0 * f2m**2) - f4m * f3m / (3.0 * f2m**3)
             )
             s_ij[idx] = even - f4m / (6.0 * f2m**2)
-        np.fill_diagonal(s_ii, 0.0)
-        np.fill_diagonal(s_ij, 0.0)
+        _zero_diagonal(s_ii)
+        _zero_diagonal(s_ij)
         sv = s[:, None]
         return s_ii * sv**2, s_ij * sv * s[None, :]
 
@@ -346,22 +364,21 @@ class GeometricMean(_RatioMean):
 
     def _theta_full(self, chain, p):
         if self.convention == "scaled":
-            t = self.c * np.outer(p, p) ** self.beta
+            t = self.c * _outer(p) ** self.beta
         else:
-            z = p / chain.pi
-            t = np.outer(z, z) ** self.beta
-        np.fill_diagonal(t, 0.0)
+            t = _outer(p / chain.pi) ** self.beta
+        _zero_diagonal(t)
         return t
 
     def _theta_d1_full(self, chain, p):
         t = self._theta_full(chain, p)
-        return t, self.beta * t / p[:, None]
+        return t, self.beta * t / p[..., :, None]
 
     def _d2_full(self, chain, p):
         t = self._theta_full(chain, p)
         b = self.beta
-        s_ii = b * (b - 1.0) * t / p[:, None] ** 2
-        s_ij = b**2 * t / np.outer(p, p)
+        s_ii = b * (b - 1.0) * t / p[..., :, None] ** 2
+        s_ij = b**2 * t / _outer(p)
         return s_ii, s_ij
 
 
@@ -371,7 +388,8 @@ class CustomMean(MobilityModel):
     Parameters
     ----------
     theta_fn : callable(chain, p) -> (n, n) array
-        Full symmetric matrix of edge weights (off-edge entries ignored).
+        Full symmetric matrix of edge weights (off-edge entries ignored),
+        called with one point at a time.
     f : optional triple (f0, f1, f2) of scalar callables
         Paired divergence family; enables the divergence interface.
     """
@@ -384,29 +402,31 @@ class CustomMean(MobilityModel):
         self.has_divergence = f is not None
 
     def _theta_full(self, chain, p):
-        return np.asarray(self.theta_fn(chain, p), dtype=float)
+        # the callback sees one point at a time
+        rows = [self.theta_fn(chain, q) for q in p.reshape(-1, chain.n)]
+        return np.asarray(rows, dtype=float).reshape(p.shape + (chain.n,))
 
     def _d1_full(self, chain, p):
         n = chain.n
-        d1 = np.zeros((n, n))
+        d1 = np.zeros(p.shape + (n,))
         for k in range(n):
             e = np.zeros(n)
             e[k] = H1
             dt = (self._theta_full(chain, p + e) - self._theta_full(chain, p - e)) / (2 * H1)
-            d1[k, :] = dt[k, :]
+            d1[..., k, :] = dt[..., k, :]
         return d1
 
     def _d2_full(self, chain, p):
         n = chain.n
         t0 = self._theta_full(chain, p)
-        s_ii = np.zeros((n, n))
-        s_ij = np.zeros((n, n))
+        s_ii = np.zeros(p.shape + (n,))
+        s_ij = np.zeros(p.shape + (n,))
         for k in range(n):
             e = np.zeros(n)
             e[k] = H2
             tp = self._theta_full(chain, p + e)
             tm = self._theta_full(chain, p - e)
-            s_ii[k, :] = (tp - 2 * t0 + tm)[k, :] / H2**2
+            s_ii[..., k, :] = (tp - 2 * t0 + tm)[..., k, :] / H2**2
         for k in range(n):
             for l in range(k + 1, n):
                 ek = np.zeros(n)
@@ -419,8 +439,8 @@ class CustomMean(MobilityModel):
                     - self._theta_full(chain, p - ek + el)
                     + self._theta_full(chain, p - ek - el)
                 ) / (4 * H2**2)
-                s_ij[k, l] = mixed[k, l]
-                s_ij[l, k] = mixed[k, l]
+                s_ij[..., k, l] = mixed[..., k, l]
+                s_ij[..., l, k] = mixed[..., k, l]
         return s_ii, s_ij
 
     def divergence(self, chain, p):

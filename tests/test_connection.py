@@ -33,7 +33,20 @@ from onsagergeo.acceptance import (
     random_potential,
     random_reversible_chain,
 )
-from onsagergeo.connection import PointGeometry, _transport_rate, contract_d1
+from onsagergeo import connection, dynamics
+from onsagergeo.connection import (
+    JACOBIAN_BLOCK,
+    PointGeometry,
+    _jacobian_width,
+    _matvec,
+    _mean_zero_basis,
+    _shooting_jacobian,
+    _speed,
+    _transport_rate,
+    contract_d1,
+)
+from onsagergeo.errors import StepLeavesSimplex
+from onsagergeo.mobility import EPS_BOUNDARY
 
 LATTICE = lattice3_chain()
 KL = KLLogMean()
@@ -246,6 +259,222 @@ def test_bvp_reports_failure():
     with pytest.raises(BvpNoConvergence, match="shooting failed"):
         geodesic_bvp(LATTICE, KL, UNIFORM, np.array([0.55, 0.25, 0.2]),
                      max_iter=1, restarts=0, tol=1e-15)
+
+
+def _shot_recorder(monkeypatch):
+    """Record the potentials of every geodesic_ivp call geodesic_bvp makes."""
+    shots = []
+    ivp = connection.geodesic_ivp
+
+    def recorded(chain, model, p0, phi0, T, dt):
+        shots.append(np.shape(phi0))
+        return ivp(chain, model, p0, phi0, T, dt)
+
+    monkeypatch.setattr(connection, "geodesic_ivp", recorded)
+    return shots
+
+
+@pytest.mark.parametrize("options, match", [
+    ({"nsteps": 0}, "nsteps"),
+    ({"tol": 0.0}, "tol"),
+    ({"tol": -1e-9}, "tol"),
+    ({"tol": np.nan}, "tol"),
+    ({"tol": np.inf}, "tol"),
+    ({"max_iter": 0}, "max_iter"),
+    ({"restarts": -1}, "restarts"),
+])
+def test_bvp_rejects_bad_options_before_shooting(monkeypatch, options, match):
+    shots = _shot_recorder(monkeypatch)
+    with pytest.raises(ValueError, match=match):
+        geodesic_bvp(LATTICE, KL, UNIFORM, np.array([0.5, 0.3, 0.2]), **options)
+    assert shots == []
+
+
+def test_bvp_rejects_a_target_of_other_mass(monkeypatch):
+    shots = _shot_recorder(monkeypatch)
+    with pytest.raises(ValueError, match="conserves mass"):
+        geodesic_bvp(LATTICE, KL, UNIFORM, np.array([0.3, 0.3, 0.5]))
+    assert shots == []
+
+
+def test_bvp_failure_names_its_context(monkeypatch):
+    with pytest.raises(BvpNoConvergence) as info:
+        geodesic_bvp(LATTICE, KL, UNIFORM, np.array([0.55, 0.25, 0.2]),
+                     max_iter=1, restarts=2, tol=1e-15)
+    message = str(info.value)
+    assert message.startswith("shooting failed; best endpoint residual ")
+    assert "after 1 Newton iterations" in message
+    assert "first start and 2 restarts (0 of 3 failed to shoot)" in message
+
+    # the first start's shot fails: one of the two starts is lost
+    ivp, calls = connection.geodesic_ivp, []
+
+    def failing_first(*args):
+        calls.append(None)
+        if len(calls) == 1:
+            raise StepLeavesSimplex("forced")
+        return ivp(*args)
+
+    monkeypatch.setattr(connection, "geodesic_ivp", failing_first)
+    with pytest.raises(BvpNoConvergence, match=r"and 1 restarts \(1 of 2 failed to shoot\)"):
+        geodesic_bvp(LATTICE, KL, UNIFORM, np.array([0.55, 0.25, 0.2]),
+                     max_iter=1, restarts=1, tol=1e-15)
+
+
+def _column_newton(chain, model, p0, p1, nsteps=100, tol=1e-9):
+    """The shooting Newton of geodesic_bvp's first start, with the Jacobian
+    shot one column at a time against the base residual."""
+    n = chain.n
+    U = _mean_zero_basis(n)
+
+    def shoot(x):
+        return geodesic_ivp(chain, model, p0, U @ x, 1.0, 1.0 / nsteps).final_state() - p1
+
+    R0 = pseudo_inverse(response_matrix(chain, model.theta_matrix(chain, p0)))
+    x = U.T @ (R0 @ (p1 - p0))
+    r = shoot(x)
+    for _ in range(50):
+        if abs(r).max() < tol:
+            return U @ x
+        h = 1e-7 * (1.0 + abs(x).max())
+        J = np.column_stack([(shoot(x + e)[:-1] - r[:-1]) / h for e in h * np.eye(n - 1)])
+        delta = np.linalg.solve(J, -r[:-1])
+        lam = 1.0
+        while abs(shoot(x + lam * delta)).max() >= abs(r).max():
+            lam *= 0.5
+            assert lam > 2.0**-12
+        x = x + lam * delta
+        r = shoot(x)
+    raise AssertionError("column Newton did not converge")
+
+
+def test_bvp_matches_a_column_by_column_newton():
+    rng = np.random.default_rng(70)
+    chain = random_reversible_chain(rng, 5)
+    p = random_interior_point(rng, 5, floor=5e-3)
+    step = random_potential(rng, 5)
+    target = p + step * (0.3 * p.min() / abs(step).max())
+    for chain, p0, p1 in [(LATTICE, UNIFORM, np.array([0.5, 0.3, 0.2])),
+                          (chain, p, target)]:
+        phi0, rec, _ = geodesic_bvp(chain, KL, p0, p1)
+        want = _column_newton(chain, KL, p0, p1)
+        assert_allclose(phi0, want, rtol=0, atol=1e-10 * abs(want).max())
+        assert abs(rec.final_state() - p1).max() < 1e-9
+
+
+def test_jacobian_blocks_match_one_block(monkeypatch):
+    rng = np.random.default_rng(71)
+    n = 5
+    chain, p = _case(rng, n)
+    target = p + 0.2 * p.min() * random_potential(rng, n)
+    U = _mean_zero_basis(n)
+
+    def shoot(X):
+        rec = geodesic_ivp(chain, KL, p, _matvec(U, X), 1.0, 0.02)
+        return rec.final_state() - target, rec
+
+    x = U.T @ (0.1 * random_potential(rng, n))
+    r = shoot(x)[0]
+    h = 1e-7 * (1.0 + abs(x).max())
+    one = _shooting_jacobian(shoot, x, r, h)
+    assert one.shape == (n - 1, n - 1)
+    # blocks of 1, 2 and 3 columns beside their base, and single columns
+    for rows in (2, 3, 4, 1):
+        monkeypatch.setattr(connection, "JACOBIAN_BLOCK", rows * n * n)
+        assert _jacobian_width(n) == rows - 1
+        assert_allclose(_shooting_jacobian(shoot, x, r, h), one,
+                        rtol=0, atol=1e-8 * abs(one).max())
+
+
+def test_jacobian_shots_stay_within_the_block_budget(monkeypatch):
+    for n in range(2, 1500):
+        width = _jacobian_width(n)
+        if width >= 1:
+            assert (width + 1) * n * n <= JACOBIAN_BLOCK
+        else:
+            assert 2 * n * n > JACOBIAN_BLOCK
+    assert _jacobian_width(30) + 1 >= 30  # one block at the benchmark's sizes
+
+    rng = np.random.default_rng(72)
+    chain, p = _case(rng, 5)
+    target = p + 0.2 * p.min() * random_potential(rng, 5)
+    for budget in (JACOBIAN_BLOCK, 3 * 25, 25):
+        monkeypatch.setattr(connection, "JACOBIAN_BLOCK", budget)
+        shots = _shot_recorder(monkeypatch)
+        geodesic_bvp(chain, KL, p, target)
+        points = [s[0] if len(s) == 2 else 1 for s in shots]
+        assert max(points) == min(5, budget // 25)
+        assert all(B * 5 * 5 <= budget for B in points)
+        monkeypatch.undo()
+
+
+def test_stacked_geometry_matches_rows():
+    rng = np.random.default_rng(73)
+    for model in CURVED_MODELS:
+        chain, _ = _case(rng)
+        n = chain.n
+        P = np.array([random_interior_point(rng, n, floor=1e-3) for _ in range(4)])
+        Phi, Psi = (np.array([random_potential(rng, n) for _ in range(4)]) for _ in range(2))
+        geo = PointGeometry(chain, model, P)
+        vel, gam = geo.velocity(Phi), geo.gamma(Phi, Phi)
+        assert geo.L.shape == (4, n, n) and vel.shape == gam.shape == (4, n)
+        stacked = [vel, gam, geo.dtheta(vel), geo.dL(Phi), geo.commutator(Phi, Psi),
+                   geo.m(Phi, Psi)]
+        for b in range(4):
+            one = PointGeometry(chain, model, P[b])
+            v = one.velocity(Phi[b])
+            singles = [v, one.gamma(Phi[b], Phi[b]), one.dtheta(v), one.dL(Phi[b]),
+                       one.commutator(Phi[b], Psi[b]), one.m(Phi[b], Psi[b])]
+            for got, want in zip(stacked, singles):
+                assert_allclose(got[b], want, rtol=0, atol=1e-15 * max(1.0, abs(want).max()))
+
+
+def test_stacked_geodesics_match_single_runs():
+    rng = np.random.default_rng(74)
+    for model in CURVED_MODELS:
+        chain, p = _case(rng)
+        Phi = np.array([_scaled_potential(chain, model, p, rng.normal(size=chain.n), 0.05)
+                        for _ in range(3)])
+        rec = geodesic_ivp(chain, model, p, Phi, 0.5, 0.01)
+        assert rec.states.shape == rec.potentials.shape == (51, 3, chain.n)
+        assert rec.speeds.shape == (51, 3)
+        for b in range(3):
+            one = geodesic_ivp(chain, model, p, Phi[b], 0.5, 0.01)
+            assert_allclose(rec.states[:, b], one.states, rtol=0, atol=1e-14)
+            assert_allclose(rec.potentials[:, b], one.potentials, rtol=0, atol=1e-14)
+            assert_allclose(rec.speeds[:, b], one.speeds, rtol=0, atol=1e-14)
+
+
+def test_stacked_geodesics_halve_together(monkeypatch):
+    # row 0 heads for the boundary: its one step of 0.2 must be halved twice
+    P0 = np.array([[1e-3, 0.5, 0.499], UNIFORM, [0.5, 0.3, 0.2]])
+    Phi = np.array([[-0.0144, 0.0072, 0.0072], [0.02, -0.01, -0.01], [-0.01, 0.0, 0.01]])
+    singles = [geodesic_ivp(LATTICE, KL, p, phi, 0.2, 0.2) for p, phi in zip(P0, Phi)]
+    halvings = []
+    advance = dynamics.advance_interior
+
+    def counted(f, y, dt, is_ok, depth=0):
+        if depth:
+            halvings.append(depth)
+        return advance(f, y, dt, is_ok, depth)
+
+    monkeypatch.setattr(dynamics, "advance_interior", counted)
+    rec = geodesic_ivp(LATTICE, KL, P0, Phi, 0.2, 0.2)
+    assert halvings
+    assert (rec.states >= EPS_BOUNDARY).all()
+    for b, one in enumerate(singles):
+        assert abs(rec.states[:, b] - one.states).max() < 1e-8
+        assert abs(rec.potentials[:, b] - one.potentials).max() < 1e-8
+
+
+def test_speeds_are_computed_on_first_read():
+    rng = np.random.default_rng(75)
+    phi0 = _scaled_potential(LATTICE, KL, UNIFORM, rng.normal(size=3), speed=0.05)
+    rec = geodesic_ivp(LATTICE, KL, UNIFORM, phi0, 0.1, 0.01)
+    assert "speeds" not in vars(rec)
+    want = [_speed(LATTICE, KL, p, phi) for p, phi in zip(rec.states, rec.potentials)]
+    assert np.array_equal(rec.speeds, want)
+    assert rec.speeds is rec.speeds
 
 
 def test_transport_of_the_driving_potential():

@@ -24,7 +24,7 @@ from onsagergeo import (
     triangle_reaction_chain,
 )
 from onsagergeo.acceptance import random_interior_point, random_reversible_chain
-from onsagergeo.mobility import _DivergenceMean
+from onsagergeo.mobility import DELTA_RATIO, _DivergenceMean
 
 LATTICE = lattice3_chain()
 TRIANGLE = triangle_reaction_chain()
@@ -339,6 +339,37 @@ def test_combined_accessor_matches_separate_calls(model):
         t, d = model.theta_d1_matrices(chain, p)
         assert np.array_equal(t, model.theta_matrix(chain, p))
         assert np.array_equal(d, model.d1_matrix(chain, p))
+
+
+STACK_MODELS = MODELS + [GeometricMean(1.0, c=9.0, convention="scaled"),
+                         CustomMean(lambda chain, p: np.sqrt(np.outer(p, p)))]
+STACK_IDS = MODEL_IDS + ["geometric-scaled", "custom"]
+
+
+@pytest.mark.parametrize("model", STACK_MODELS, ids=STACK_IDS)
+def test_stacked_points_match_row_by_row(model):
+    rng = np.random.default_rng(19)
+    chain = random_reversible_chain(rng, 5)
+    P = np.array([random_interior_point(rng, 5) for _ in range(4)])
+    # row 1 gets an equal-ratio pair, which puts it on the Taylor branch
+    P[1, 1] = P[1, 0] / chain.pi[0] * chain.pi[1]
+    P[1] /= P[1].sum()
+    z = P[1] / chain.pi
+    assert abs(z[0] - z[1]) < DELTA_RATIO
+    t, d = model.theta_d1_matrices(chain, P)
+    s_ii, s_ij = model.d2_matrices(chain, P)
+    th = model.theta_matrix(chain, P)
+    assert t.shape == th.shape == s_ii.shape == (4, 5, 5)
+    for k, p in enumerate(P):
+        rows = (t[k], d[k], th[k], s_ii[k], s_ij[k])
+        singles = (*model.theta_d1_matrices(chain, p), model.theta_matrix(chain, p),
+                   *model.d2_matrices(chain, p))
+        for got, want in zip(rows, singles):
+            assert_allclose(got, want, rtol=0, atol=1e-15 * max(1.0, abs(want).max()))
+    # any number of leading axes
+    t2, d2 = model.theta_d1_matrices(chain, P.reshape(2, 2, 5))
+    assert np.array_equal(t2.reshape(4, 5, 5), t)
+    assert np.array_equal(d2.reshape(4, 5, 5), d)
 
 
 def test_interior_validation():
