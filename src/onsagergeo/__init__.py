@@ -54,18 +54,18 @@ from .mobility import (
     theta_second_partial,
 )
 from .metric import (
-    OnsagerMatrix,
     arc_length,
     curve_velocity,
     deflated_solve,
     distance,
+    eigensystem,
     frame_potentials,
     inner_product,
     inner_product_edges,
     mean_zero,
-    onsager_matrix,
     orthonormal_frame,
     pseudo_inverse,
+    response_at,
     response_matrix,
 )
 from .dynamics import (

@@ -28,7 +28,7 @@ from .curvature import (
 )
 from .dynamics import divergence_energy, gradient_flow_rhs, integrate, master_exact
 from .lattice3 import lattice3_closed_forms, lattice3_sweep, lattice3_unit_chain
-from .metric import mean_zero, onsager_matrix, pseudo_inverse, response_matrix
+from .metric import mean_zero, response_at, response_matrix
 from .mobility import AlphaMean, GeometricMean, KLLogMean
 
 
@@ -77,7 +77,7 @@ def builtin_models(rng=None):
 
 
 def _scaled_potential(chain, model, p, phi, speed):
-    L = response_matrix(chain, model.theta_matrix(chain, p))
+    L = response_at(chain, model, p)
     norm = np.sqrt(max(phi @ L @ phi, 1e-300))
     return phi * (speed / norm)
 
@@ -162,7 +162,7 @@ def criterion_3(seed=0):
         v3 = response_matrix(chain, theta_mat) @ phi3
 
         def pairing(q):
-            return phi1 @ response_matrix(chain, model.theta_matrix(chain, q)) @ phi2
+            return phi1 @ response_at(chain, model, q) @ phi2
 
         lhs = (pairing(p + eps * v3) - pairing(p - eps * v3)) / (2 * eps)
         rhs = (levi_civita(chain, model, phi3, phi1, p).vector @ phi2
@@ -195,7 +195,7 @@ def criterion_4(seed=0):
         eta0 = np.column_stack([random_potential(rng, n) for _ in range(2)])
         states = parallel_transport(chain, model, GeodesicPath(p, phi0, T=1.0),
                                     eta0, dt=1e-3)
-        L = response_matrix(chain, model.theta_matrix(chain, [st.gamma for st in states]))
+        L = response_at(chain, model, [st.gamma for st in states])
         eta = np.array([st.eta for st in states])
         gram = eta.mT @ L @ eta
         worst = max(worst, np.abs(gram[1:] - gram[0]).max())

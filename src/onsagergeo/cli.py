@@ -9,7 +9,13 @@ import numpy as np
 
 from .acceptance import run_all
 from .chains import chain_from_rates, preset_chain
-from .connection import GeodesicPath, _speed, geodesic_bvp, geodesic_ivp, parallel_transport
+from .connection import (
+    GeodesicPath,
+    GeodesicRecord,
+    geodesic_bvp,
+    geodesic_ivp,
+    parallel_transport,
+)
 from .curvature import curvature_report
 from .dynamics import integrate
 from .errors import OnsagerGeoError
@@ -261,13 +267,13 @@ def cmd_transport(args):
     T = get_number(cfg, "T", 1.0)
     dt = get_number(cfg, "dt", 1e-3)
     states = parallel_transport(chain, model, GeodesicPath(p0, phi0, T), eta0, dt)
-    n = chain.n
-    header = (["t"] + [f"gamma{i + 1}" for i in range(n)]
-              + [f"phi{i + 1}" for i in range(n)]
-              + [f"eta{i + 1}" for i in range(n)] + ["speed"])
-    rows = [np.concatenate([[st.t], st.gamma, st.phi, st.eta,
-                            [_speed(chain, model, st.gamma, st.phi)]])
-            for st in states]
+    rec = GeodesicRecord(np.array([st.t for st in states]),
+                         np.array([st.gamma for st in states]),
+                         np.array([st.phi for st in states]), chain, model)
+    header, rows = _geodesic_rows(chain, rec)
+    # the eta columns go before the speed
+    header[-1:-1] = [f"eta{i + 1}" for i in range(chain.n)]
+    rows = np.column_stack([rows[:, :-1], [st.eta for st in states], rows[:, -1]])
     emit(csv_text(header, rows), args.out or cfg.get("out"))
     return 0
 
@@ -275,13 +281,12 @@ def cmd_transport(args):
 def cmd_sweep(args):
     cfg = load_config(args.config)
     check_keys(cfg, _COMMON_KEYS | {"grid"})
-    if cfg.get("chain") is not None and not isinstance(cfg["chain"], dict):
-        raise ConfigError("config key 'chain' must be an object")
-    preset = args.preset or (cfg.get("chain") or {}).get("preset")
-    if preset is not None and preset != "lattice3":
-        raise ConfigError("sweep runs on the lattice3 preset only")
-    if cfg.get("chain") is not None and "preset" not in cfg["chain"]:
-        raise ConfigError("sweep runs on the lattice3 preset only")
+    if args.preset or cfg.get("chain") is not None:
+        # the chain is optional here, but one that is given passes the same
+        # checks as for the other commands, and --preset overrides it
+        build_chain(cfg, args.preset)
+        if (args.preset or cfg["chain"].get("preset")) != "lattice3":
+            raise ConfigError("sweep runs on the lattice3 preset only")
     model = build_model(cfg)
     if args.grid is not None:
         resolution = args.grid

@@ -15,8 +15,8 @@ from .metric import (
     curve_velocity,
     deflated_solve,
     mean_zero,
-    onsager_matrix,
     pseudo_inverse,
+    response_at,
     response_matrix,
 )
 from .mobility import check_interior
@@ -211,7 +211,7 @@ def _center(v):
 
 
 def _speed(chain, model, p, phi):
-    L = response_matrix(chain, model.theta_matrix(chain, p))
+    L = response_at(chain, model, p)
     return float(np.sqrt(max(phi @ L @ phi, 0.0)))
 
 
@@ -309,7 +309,7 @@ def geodesic_bvp(chain, model, p0, p1, nsteps=100, tol=1e-9, max_iter=50,
         rec = geodesic_ivp(chain, model, p0, _matvec(U, x), 1.0, dt)
         return rec.final_state() - p1, rec
 
-    R0 = pseudo_inverse(onsager_matrix(chain, model.theta_matrix(chain, p0)))
+    R0 = pseudo_inverse(response_at(chain, model, p0))
     x_init = U.T @ (R0 @ (p1 - p0))
     rng = np.random.default_rng(seed)
     best, best_steps, failed = np.inf, 0, 0
@@ -454,7 +454,7 @@ def parallel_transport(chain, model, path, eta0, dt):
         vel = curve_velocity(times, states)
         pots = np.empty_like(states)
         for k, (p, v) in enumerate(zip(states, vel)):
-            R = pseudo_inverse(onsager_matrix(chain, model.theta_matrix(chain, p)))
+            R = pseudo_inverse(response_at(chain, model, p))
             pots[k] = mean_zero(R @ v)
 
         def at(t, samples):

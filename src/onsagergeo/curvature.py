@@ -13,12 +13,7 @@ import numpy as np
 from .chains import grad_matrix
 from .connection import PointGeometry
 from .errors import DegeneratePlane
-from .metric import (
-    frame_potentials,
-    onsager_matrix,
-    pseudo_inverse,
-    response_matrix,
-)
+from .metric import frame_potentials, pseudo_inverse, response_at
 from .mobility import check_interior
 
 # The sign convention for the m-matrix that matches both the chart oracle and
@@ -80,20 +75,26 @@ def _riemann_assembled(geo: PointGeometry, pots):
         G[(a,c),(b,d)] = Gamma(a,c)^T L Gamma(b,d),
         C[(a,c),(b,d)] = [V_a, V_c]^T R [V_b, V_d];
     every component is evaluated, none is filled in from a symmetry.
+
+    One table X[a,b] = L(V_a theta) phi_b, from a single `dL` of the stack,
+    serves both m and the commutators: [V_a, V_b] = X[a,b] - X[b,a] and
+    m(a,b) = -2 W(a,b) - dtheta(X[a,b] + X[b,a]).
     """
     pots = np.asarray(pots, dtype=float)
     k, n = pots.shape
     A, B = pots[:, None], pots[None, :]
     g = grad_matrix(geo.chain, pots)
+    X = pots @ geo.dL(pots).mT
+    Xt = X.swapaxes(0, 1)
     # phi^T L(M) psi = 1/2 sum_ij omega_ij M_ij (phi_i - phi_j)(psi_i - psi_j)
     # = 1/2 sum_ij M_ij (grad phi)_ij (grad psi)_ij, one product for all pairs
-    m = geo.m(A, B).reshape(k * k, n * n)
+    m = (-2.0 * geo.second_theta(A, B) - geo.dtheta(X + Xt)).reshape(k * k, n * n)
     M = 0.5 * (m @ (g[:, None] * g[None, :]).reshape(k * k, n * n).T)
     gam = geo.gamma(A, B).reshape(k * k, n)
     G = gam @ geo.L @ gam.T
-    comm = geo.commutator(A, B).reshape(k * k, n)
+    comm = (X - Xt).reshape(k * k, n)
     C = comm @ geo.R @ comm.T
-    M, G, C = (X.reshape(k, k, k, k) for X in (M, G, C))
+    M, G, C = (Z.reshape(k, k, k, k) for Z in (M, G, C))
     MGC = M + G + C
     return 0.25 * (
         np.einsum("acbd->abcd", MGC) - np.einsum("bcad->abcd", MGC)
@@ -210,7 +211,7 @@ def ricci_scalar(chain, model, p):
 
 def _chart_metric(chain, model, x):
     p = np.append(x, 1.0 - x.sum())
-    R = pseudo_inverse(onsager_matrix(chain, model.theta_matrix(chain, p)))
+    R = pseudo_inverse(response_at(chain, model, p))
     n = chain.n
     J = np.vstack([np.eye(n - 1), -np.ones(n - 1)])
     return J.T @ R @ J
@@ -257,7 +258,7 @@ def oracle_contraction(chain, model, phi1, phi2, phi3, phi4, p, lowered=None):
     route, for comparison with `riemann`)."""
     if lowered is None:
         lowered = chart_curvature_oracle(chain, model, p)
-    L = response_matrix(chain, model.theta_matrix(chain, p))
+    L = response_at(chain, model, p)
     v = [(L @ np.asarray(f, dtype=float))[:-1] for f in (phi1, phi2, phi3, phi4)]
     return float(np.einsum("ijkl,i,j,k,l->", lowered, v[3], v[2], v[0], v[1]))
 

@@ -8,7 +8,7 @@ import scipy.linalg
 
 from .chains import grad_matrix
 from .errors import StepLeavesSimplex, BoundaryPoint
-from .metric import response_matrix
+from .metric import response_at, response_matrix
 from .mobility import EPS_BOUNDARY, as_simplex_point, check_interior
 
 MAX_HALVINGS = 20
@@ -71,7 +71,7 @@ def metric_gradient(chain, model, F, p):
     """
     p = check_interior(p)
     g = F.gradient(p) if isinstance(F, Energy) else np.asarray(F(p), dtype=float)
-    return response_matrix(chain, model.theta_matrix(chain, p)) @ g
+    return response_at(chain, model, p) @ g
 
 
 def gradient_flow_rhs(chain, model, p):
@@ -79,7 +79,7 @@ def gradient_flow_rhs(chain, model, p):
     mean function is built from the same f as its divergence."""
     p = check_interior(p)
     g = model.divergence_gradient(chain, p)
-    return -response_matrix(chain, model.theta_matrix(chain, p)) @ g
+    return -response_at(chain, model, p) @ g
 
 
 # -- integrators ---------------------------------------------------------------

@@ -34,61 +34,39 @@ def response_matrix(chain, edge_values):
     return out
 
 
-class OnsagerMatrix:
-    """L(theta) together with its (lazily computed) eigensystem.
+def response_at(chain, model, p):
+    """L(theta(p)), from the model's theta alone (no partials).  p may be a
+    (B, n) stack of points, giving a (B, n, n) stack."""
+    return response_matrix(chain, model.theta_matrix(chain, p))
 
-    Attributes
-    ----------
-    L : (n, n) ndarray
-        Symmetric positive semidefinite, kernel spanned by the constants.
-    eigenvalues : (n-1,) ndarray
-        The positive eigenvalues in ascending order (kernel excluded).
-    eigenvectors : (n, n-1) ndarray
-        Matching orthonormal eigenvectors.
+
+def eigensystem(L):
+    """The positive eigenpairs of a response matrix whose kernel is the
+    constants: the n-1 positive eigenvalues in ascending order and the
+    matching orthonormal eigenvectors, the columns of an (n, n-1) array.
+
+    Eigenvalues below KERNEL_RTOL * lambda_max count as kernel.  Raises
+    NearSingular when the eigensolver fails, when L has no positive
+    eigenvalue, or when the kernel is not one-dimensional; the last names the
+    kernel dimension and lambda_1 / lambda_max, where lambda_1 is the second
+    smallest eigenvalue, the smallest positive one when the kernel is right.
     """
-
-    def __init__(self, chain, L):
-        self.chain = chain
-        self.L = L
-        self._eig = None
-
-    def _eigensystem(self):
-        if self._eig is None:
-            try:
-                lam, U = np.linalg.eigh(self.L)
-            except np.linalg.LinAlgError as exc:
-                raise NearSingular(f"response matrix eigensystem failed ({exc})")
-            top = lam[-1]
-            if top <= 0:
-                raise NearSingular("response matrix has no positive eigenvalue")
-            cutoff = KERNEL_RTOL * top
-            kernel = int((lam < cutoff).sum())
-            if kernel != 1:
-                raise NearSingular(
-                    f"response matrix kernel dimension {kernel}, expected 1 "
-                    "(point effectively on the boundary or mobility degenerate)"
-                )
-            self._eig = (lam[1:], U[:, 1:])
-        return self._eig
-
-    @property
-    def eigenvalues(self):
-        return self._eigensystem()[0]
-
-    @property
-    def eigenvectors(self):
-        return self._eigensystem()[1]
-
-
-def onsager_matrix(chain, theta_mat) -> OnsagerMatrix:
-    """Assemble L(theta) for a mobility edge matrix."""
-    return OnsagerMatrix(chain, response_matrix(chain, theta_mat))
-
-
-def _as_onsager(chain_or_none, L):
-    if isinstance(L, OnsagerMatrix):
-        return L
-    return OnsagerMatrix(chain_or_none, np.asarray(L, dtype=float))
+    try:
+        lam, U = np.linalg.eigh(np.asarray(L, dtype=float))
+    except np.linalg.LinAlgError as exc:
+        raise NearSingular(f"response matrix eigensystem failed ({exc})")
+    top = lam[-1]
+    if top <= 0:
+        raise NearSingular(f"response matrix has no positive eigenvalue "
+                           f"(lambda_max {top:.3e})")
+    kernel = int((lam < KERNEL_RTOL * top).sum())
+    if kernel != 1:
+        raise NearSingular(
+            f"response matrix kernel dimension {kernel}, expected 1, with "
+            f"lambda_1 / lambda_max = {lam[1] / top:.3e} "
+            "(point effectively on the boundary or mobility degenerate)"
+        )
+    return lam[1:], U[:, 1:]
 
 
 def pseudo_inverse(L):
@@ -97,8 +75,7 @@ def pseudo_inverse(L):
     Satisfies L R L = L, R L R = R, R 1 = 0; raises NearSingular when the
     kernel is more than one-dimensional.
     """
-    om = _as_onsager(None, L)
-    lam, U = om._eigensystem()
+    lam, U = eigensystem(L)
     return (U / lam) @ U.T
 
 
@@ -135,16 +112,14 @@ def inner_product_edges(chain, theta_mat, phi1, phi2):
 def orthonormal_frame(L):
     """Tangent vectors e_k = sqrt(lambda_k) u_k, k = 1..n-1, orthonormal in the
     metric <x, y> = x^T R y.  Returned as rows of an (n-1, n) array."""
-    om = _as_onsager(None, L)
-    lam, U = om._eigensystem()
+    lam, U = eigensystem(L)
     return (U * np.sqrt(lam)).T
 
 
 def frame_potentials(L):
     """Potentials generating the orthonormal frame: Phi_k = u_k / sqrt(lambda_k),
     so that L Phi_k = e_k."""
-    om = _as_onsager(None, L)
-    lam, U = om._eigensystem()
+    lam, U = eigensystem(L)
     return (U / np.sqrt(lam)).T
 
 
@@ -174,7 +149,7 @@ def arc_length(chain, model, times, states):
     vel = curve_velocity(times, states)
     speeds = np.empty(len(times))
     for k, (p, v) in enumerate(zip(states, vel)):
-        R = pseudo_inverse(onsager_matrix(chain, model.theta_matrix(chain, p)))
+        R = pseudo_inverse(response_at(chain, model, p))
         speeds[k] = np.sqrt(max(v @ R @ v, 0.0))
     steps = np.diff(times)
     if np.allclose(steps, steps[0], rtol=1e-10, atol=0.0):

@@ -149,6 +149,21 @@ def test_sweep_grid_flag_overrides_config(tmp_path, capsys):
     assert len(out.strip().split("\n")) == 5
 
 
+LATTICE_RATES = [[1, 2, 1.0], [2, 1, 1.0], [2, 3, 1.0], [3, 2, 1.0]]
+
+
+@pytest.mark.parametrize("chain", [{"preset": "triangle-reaction"},
+                                   {"n": 3, "rates": LATTICE_RATES}],
+                         ids=["over-preset", "over-rates"])
+def test_sweep_preset_flag_overrides_the_config_chain(tmp_path, capsys, chain):
+    cfg = {"model": {"kind": "kl"}, "grid": 2, "chain": chain}
+    code, out, err = run(capsys, ["sweep", "--preset", "lattice3"], tmp_path, cfg)
+    assert (code, err) == (0, "")
+    # a config without a chain sweeps the lattice too
+    _, want, _ = run(capsys, ["sweep"], tmp_path, {"model": {"kind": "kl"}, "grid": 2})
+    assert out == want
+
+
 def test_sweep_runs_only_on_the_lattice(tmp_path, capsys):
     code, _, err = run(capsys, ["sweep", "--preset", "triangle-reaction"],
                        tmp_path, {"model": {"kind": "kl"}})
@@ -210,6 +225,12 @@ def test_out_writes_a_file(tmp_path, capsys):
     (["sweep"],
      {"chain": [1], "model": {"kind": "kl"}},
      "config key 'chain' must be an object"),
+    (["sweep"],
+     {"chain": {"preset": "lattice3", "bogus": 1}, "model": {"kind": "kl"}},
+     "unknown config key 'chain.bogus'"),
+    (["sweep"],
+     {"chain": {"n": 3, "rates": LATTICE_RATES}, "model": {"kind": "kl"}},
+     "sweep runs on the lattice3 preset only"),
     (["transport", "--preset", "lattice3"],
      {"model": {"kind": "kl"}, "p0": [0.5, 0.3, 0.2], "phi0": [0.1, 0.0, -0.1],
       "eta0": [float("nan"), 0.0, 0.0]},
@@ -231,7 +252,8 @@ def test_out_writes_a_file(tmp_path, capsys):
 ], ids=["unknown-key", "missing-point", "short-point", "missing-chain",
         "bad-model", "bad-rates", "bad-T", "missing-eta0", "off-simplex-point",
         "off-simplex-simulate", "off-simplex-geodesic", "off-simplex-p1",
-        "off-simplex-transport", "sweep-chain-not-object", "nan-eta0",
+        "off-simplex-transport", "sweep-chain-not-object", "sweep-chain-unknown-key",
+        "sweep-rates-chain", "nan-eta0",
         "inf-dt-geodesic", "inf-T-simulate", "nan-dt-simulate", "nan-phi0"])
 def test_config_errors(tmp_path, capsys, argv, config, message):
     code, out, err = run(capsys, argv, tmp_path, config)

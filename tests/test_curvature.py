@@ -15,9 +15,9 @@ from onsagergeo import (
     grad_matrix,
     lattice3_chain,
     lattice3_closed_forms,
-    onsager_matrix,
     oracle_contraction,
     pseudo_inverse,
+    response_at,
     response_matrix,
     ricci_scalar,
     riemann,
@@ -159,7 +159,7 @@ def test_sectional_is_a_plane_invariant():
 
 def test_sectional_frozen_value_geometric_uniform():
     model = GeometricMean(beta=1.0, c=9.0, convention="scaled")
-    R = pseudo_inverse(onsager_matrix(LATTICE, model.theta_matrix(LATTICE, UNIFORM)))
+    R = pseudo_inverse(response_at(LATTICE, model, UNIFORM))
     f1 = R @ np.array([1.0, -1.0, 0.0])
     f2 = R @ np.array([0.0, 1.0, -1.0])
     assert sectional(LATTICE, model, f1, f2, UNIFORM) == pytest.approx(-13.5,
@@ -176,7 +176,7 @@ def test_sectional_matches_closed_form_on_the_lattice():
             continue
         k12, r11, r22, s = lattice3_closed_forms(KL, p, route="example")
         t = KL.theta_matrix(LATTICE, p)
-        R = pseudo_inverse(onsager_matrix(LATTICE, t))
+        R = pseudo_inverse(response_matrix(LATTICE, t))
         f1 = R @ np.array([1.0, -1.0, 0.0])
         f2 = R @ np.array([0.0, 1.0, -1.0])
         k = sectional(LATTICE, KL, f1, f2, p)

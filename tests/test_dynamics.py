@@ -16,8 +16,8 @@ from onsagergeo import (
     master_exact,
     master_rhs,
     metric_gradient,
-    onsager_matrix,
     pseudo_inverse,
+    response_at,
     triangle_reaction_chain,
 )
 from onsagergeo.acceptance import (
@@ -100,10 +100,10 @@ def test_metric_gradient_defining_property():
     for _ in range(20):
         p = random_interior_point(rng, 3)
         phi = random_potential(rng, 3)
-        om = onsager_matrix(TRIANGLE, KL.theta_matrix(TRIANGLE, p))
-        v_phi = om.L @ phi
+        L = response_at(TRIANGLE, KL, p)
+        v_phi = L @ phi
         grad = metric_gradient(TRIANGLE, KL, F, p)
-        lhs = float(grad @ pseudo_inverse(om) @ v_phi)
+        lhs = float(grad @ pseudo_inverse(L) @ v_phi)
         rhs = float(F.gradient(p) @ v_phi)
         assert lhs == pytest.approx(rhs, abs=1e-10 * (1 + abs(rhs)))
 

@@ -14,8 +14,9 @@ from onsagergeo import (
     lattice3_chain,
     lattice3_closed_forms,
     lattice3_sweep,
-    onsager_matrix,
     pseudo_inverse,
+    response_at,
+    response_matrix,
     riemann,
     sweep_grid,
 )
@@ -126,7 +127,7 @@ def test_coordinate_frame_diagonalizes_the_metric():
     for _ in range(10):
         p = _distinct_point(rng)
         t = KL.theta_matrix(LATTICE, p)
-        R = pseudo_inverse(onsager_matrix(LATTICE, t))
+        R = pseudo_inverse(response_matrix(LATTICE, t))
         assert abs(D1 @ R @ D2) < 1e-12
         assert D1 @ R @ D1 == pytest.approx(1.0 / t[0, 1], rel=1e-12)
         assert D2 @ R @ D2 == pytest.approx(1.0 / t[1, 2], rel=1e-12)
@@ -137,7 +138,7 @@ def test_closed_form_matches_the_tensor_route():
     for _ in range(10):
         p = _distinct_point(rng)
         k12, _, _, _ = lattice3_closed_forms(KL, p)
-        R = pseudo_inverse(onsager_matrix(LATTICE, KL.theta_matrix(LATTICE, p)))
+        R = pseudo_inverse(response_at(LATTICE, KL, p))
         num = riemann(LATTICE, KL, R @ D1, R @ D2, R @ D2, R @ D1, p)
         assert num == pytest.approx(k12, abs=1e-9 * (1 + abs(k12)))
 

@@ -1,24 +1,30 @@
 """Response matrices, their pseudo-inverses, frames, lengths, distances."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from onsagergeo import (
+    AlphaMean,
+    CustomMean,
+    GeometricMean,
     KLLogMean,
     NearSingular,
     arc_length,
     deflated_solve,
     distance,
+    eigensystem,
     frame_potentials,
     geodesic_ivp,
     inner_product,
     inner_product_edges,
     lattice3_chain,
     mean_zero,
-    onsager_matrix,
     orthonormal_frame,
     pseudo_inverse,
+    response_at,
     response_matrix,
 )
 from onsagergeo.acceptance import (
@@ -60,13 +66,32 @@ def test_response_matrix_is_a_weighted_laplacian():
         assert phi @ L @ phi >= 0.0
 
 
+STACK_MODELS = [KLLogMean(), AlphaMean(-1.0), AlphaMean(0.0), AlphaMean(2.0),
+                GeometricMean(0.5), GeometricMean(1.0, c=9.0, convention="scaled"),
+                CustomMean(lambda chain, p: np.sqrt(np.outer(p, p)))]
+STACK_IDS = ["kl", "alpha-1", "alpha0", "alpha2", "geometric", "geometric-scaled",
+             "custom"]
+
+
+@pytest.mark.parametrize("model", STACK_MODELS, ids=STACK_IDS)
+def test_response_at_on_a_stack_matches_row_by_row(model):
+    rng = np.random.default_rng(29)
+    chain = random_reversible_chain(rng, 5)
+    P = np.array([random_interior_point(rng, 5) for _ in range(4)])
+    L = response_at(chain, model, P)
+    assert L.shape == (4, 5, 5)
+    for k, p in enumerate(P):
+        want = response_at(chain, model, p)
+        assert want.shape == (5, 5)
+        assert_allclose(L[k], want, rtol=0, atol=1e-15 * max(1.0, abs(want).max()))
+
+
 def test_pseudo_inverse_axioms():
     rng = np.random.default_rng(5)
     for _ in range(30):
         chain, p, t = _random_setup(rng)
-        om = onsager_matrix(chain, t)
-        L = om.L
-        R = pseudo_inverse(om)
+        L = response_matrix(chain, t)
+        R = pseudo_inverse(L)
         scale = abs(L).max()
         assert_allclose(L @ R @ L, L, atol=1e-10 * scale)
         assert_allclose(R @ L @ R, R, atol=1e-10 * abs(R).max())
@@ -75,12 +100,6 @@ def test_pseudo_inverse_axioms():
         # round trip recovers the mean-zero part of the potential
         phi = random_potential(rng, chain.n) + rng.normal()
         assert_allclose(R @ (L @ phi), mean_zero(phi), atol=1e-9 * (1 + abs(phi).max()))
-
-
-def test_pseudo_inverse_accepts_raw_arrays():
-    t = KL.theta_matrix(LATTICE, np.array([0.5, 0.3, 0.2]))
-    om = onsager_matrix(LATTICE, t)
-    assert_allclose(pseudo_inverse(om.L), pseudo_inverse(om), atol=1e-14)
 
 
 def test_deflated_solve_matches_pseudo_inverse():
@@ -115,25 +134,35 @@ def test_inner_product_definite_on_nonconstant_potentials():
 
 def test_eigensystem():
     t = KL.theta_matrix(LATTICE, np.array([0.5, 0.3, 0.2]))
-    om = onsager_matrix(LATTICE, t)
-    lam = om.eigenvalues
-    U = om.eigenvectors
+    L = response_matrix(LATTICE, t)
+    lam, U = eigensystem(L)
     assert lam.shape == (2,) and U.shape == (3, 2)
     assert (lam > 0).all()
     assert (np.diff(lam) >= 0).all()
     assert_allclose(U.T @ U, np.eye(2), atol=1e-12)
-    assert_allclose((U * lam) @ U.T, om.L, atol=1e-12 * lam.max())
+    assert_allclose((U * lam) @ U.T, L, atol=1e-12 * lam.max())
 
 
 def test_near_singular_detection():
     zero = np.zeros((3, 3))
     with pytest.raises(NearSingular, match="no positive eigenvalue"):
-        pseudo_inverse(onsager_matrix(LATTICE, zero))
+        pseudo_inverse(response_matrix(LATTICE, zero))
 
     cut = np.where(LATTICE.edge_mask, 1.0, 0.0)
     cut[0, 1] = cut[1, 0] = 0.0  # disconnects state 0
     with pytest.raises(NearSingular, match="kernel dimension 2"):
-        pseudo_inverse(onsager_matrix(LATTICE, cut))
+        pseudo_inverse(response_matrix(LATTICE, cut))
+
+
+def test_near_singular_names_the_eigenvalue_ratio():
+    # a nearly cut edge: the second eigenvalue falls below the kernel cutoff
+    weak = np.where(LATTICE.edge_mask, 1.0, 0.0)
+    weak[0, 1] = weak[1, 0] = 1e-14
+    with pytest.raises(NearSingular, match="kernel dimension 2") as info:
+        eigensystem(response_matrix(LATTICE, weak))
+    # the eigenvalues are 0, about 1.5e-14 and about 2
+    ratio = float(re.search(r"lambda_1 / lambda_max = (\S+) ", str(info.value))[1])
+    assert ratio == pytest.approx(7.5e-15, rel=0.05)
 
 
 def test_eigensystem_failure_is_near_singular():
@@ -145,16 +174,16 @@ def test_orthonormal_frame_properties():
     rng = np.random.default_rng(23)
     for _ in range(20):
         chain, p, t = _random_setup(rng)
-        om = onsager_matrix(chain, t)
-        E = orthonormal_frame(om)
-        P = frame_potentials(om)
+        L = response_matrix(chain, t)
+        E = orthonormal_frame(L)
+        P = frame_potentials(L)
         n = chain.n
         assert E.shape == (n - 1, n) and P.shape == (n - 1, n)
         assert_allclose(E.sum(axis=1), 0.0, atol=1e-10)
-        R = pseudo_inverse(om)
+        R = pseudo_inverse(L)
         assert_allclose(E @ R @ E.T, np.eye(n - 1), atol=1e-10)
-        assert_allclose(P @ om.L @ P.T, np.eye(n - 1), atol=1e-10)
-        assert_allclose(om.L @ P.T, E.T, atol=1e-10 * (1 + abs(E).max()))
+        assert_allclose(P @ L @ P.T, np.eye(n - 1), atol=1e-10)
+        assert_allclose(L @ P.T, E.T, atol=1e-10 * (1 + abs(E).max()))
         # completeness: the frame reconstructs any mean-zero tangent vector
         v = mean_zero(rng.normal(size=n))
         assert_allclose(E.T @ (P @ v), v, atol=1e-10 * (1 + abs(v).max()))
