@@ -32,6 +32,23 @@ class ReversibleChain:
         Stationary distribution, strictly positive, sums to 1.
     omega : (n, n) ndarray
         Symmetric edge weights omega_ij = Q_ij * pi_i, zero diagonal.
+    edge_mask : (n, n) bool ndarray
+        True on the edges, omega_ij > 0.
+    edge_ends : (2, E) int ndarray
+        The E unordered edges as columns (i, j) with i < j, in row-major
+        order (by i, then j): the order of `edges`.  A per-edge quantity is
+        an array over these columns, on a last axis of length E; one that
+        differs at the two ends of an edge (a partial derivative by p_i or by
+        p_j) has a second-to-last axis of length 2, end i first.
+    edge_omega : (E,) ndarray
+        omega_ij on each edge.
+    edge_flat : (2, E) int ndarray
+        i * n + j and j * n + i: where the entries (i, j) and (j, i) of each
+        edge sit in a flattened n x n matrix.
+    end_order, end_starts : int ndarrays
+        The 2E ends, flattened as ``edge_ends.ravel()``, ordered by vertex,
+        and the first of each vertex in that order; every vertex has an edge,
+        so ``np.add.reduceat`` over them sums each vertex's ends.
     edges : tuple of (int, int)
         Unordered edges as pairs (i, j) with i < j and omega_ij > 0.
     neighbors : tuple of frozenset
@@ -42,20 +59,22 @@ class ReversibleChain:
     """
 
     def __init__(self, Q, pi, omega):
-        self.n = len(pi)
+        n = self.n = len(pi)
         self.Q = Q
         self.pi = pi
         self.omega = omega
         self.sqrt_omega = np.sqrt(omega)
         self.edge_mask = omega > 0
-        self.edges = tuple(
-            (i, j)
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-            if omega[i, j] > 0
-        )
+        i, j = np.nonzero(np.triu(self.edge_mask))
+        self.edge_ends = np.stack([i, j])
+        self.edge_omega = omega[i, j]
+        self.edge_flat = np.stack([i * n + j, j * n + i])
+        self.end_order = np.argsort(self.edge_ends.ravel(), kind="stable")
+        self.end_starts = np.searchsorted(self.edge_ends.ravel()[self.end_order], np.arange(n))
+        self.edges = tuple(zip(i.tolist(), j.tolist()))
+        others = self.edge_ends[::-1].ravel()[self.end_order]
         self.neighbors = tuple(
-            frozenset(np.flatnonzero(self.edge_mask[i])) for i in range(self.n)
+            frozenset(nbrs.tolist()) for nbrs in np.split(others, self.end_starts[1:])
         )
 
     def flow_matrix(self):
@@ -205,6 +224,52 @@ def preset_chain(name) -> ReversibleChain:
         raise ValueError(
             f"unknown preset {name!r}; available: {sorted(PRESETS)}"
         ) from None
+
+
+# -- edge arrays -------------------------------------------------------------
+
+# The incidence matrix B has column +1 at i and -1 at j for each edge (i, j);
+# this is its two entries, as the ends axis of a per-edge array.
+INCIDENCE = np.array([[1.0], [-1.0]])
+
+
+def gather(values, index):
+    """values[..., index], a gather along the last axis; a flat array takes
+    plain indexing, the fastest gather for one vector."""
+    return values[index] if values.ndim == 1 else np.take(values, index, axis=-1)
+
+
+def edge_difference(chain, phi):
+    """phi_i - phi_j on every edge (i, j), i.e. B^T phi, shape (..., E) for
+    potentials (..., n)."""
+    at = gather(phi, chain.edge_ends)
+    return at[..., 0, :] - at[..., 1, :]
+
+
+def end_sum(chain, values):
+    """sum over the edge ends at each vertex of two-ended values (..., 2, E):
+    out_v = sum_(e = (v, j)) values[0, e] + sum_(e = (i, v)) values[1, e]."""
+    flat = values.reshape(values.shape[:-2] + (-1,))
+    return np.add.reduceat(gather(flat, chain.end_order), chain.end_starts, axis=-1)
+
+
+def incidence(chain, x):
+    """B x for per-edge values x (..., E): the sum of x over the edges leaving
+    each vertex minus the sum over the edges entering it."""
+    return end_sum(chain, x[..., None, :] * INCIDENCE)
+
+
+def edge_matrix(chain, values, fill=0.0):
+    """The (..., n, n) matrix holding two-ended values (..., 2, E) at (i, j)
+    (end i) and (j, i) (end j), `fill` off the edge set; per-edge values pass
+    as (..., 1, E) and fill both."""
+    n = chain.n
+    out = np.full(values.shape[:-2] + (n, n), fill)
+    if values.ndim == 2:
+        out.reshape(-1)[chain.edge_flat] = values
+    else:
+        out.reshape(-1, n * n)[:, chain.edge_flat] = values.reshape((-1,) + values.shape[-2:])
+    return out
 
 
 # -- discrete calculus -------------------------------------------------------

@@ -8,7 +8,14 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .chains import grad_matrix
+from .chains import (
+    edge_difference,
+    edge_matrix,
+    end_sum,
+    gather,
+    grad_matrix,
+    incidence,
+)
 from .dynamics import Energy, march
 from .errors import BvpNoConvergence, OnsagerGeoError
 from .metric import (
@@ -17,15 +24,15 @@ from .metric import (
     mean_zero,
     pseudo_inverse,
     response_at,
-    response_matrix,
+    response_from_edges,
 )
 from .mobility import check_interior
 
 
 def contract_d1(d1, vec):
-    """Contract the theta partials (one matrix, or a stack of shape
-    (..., n, n)) against a vertex vector (or each vector of a stack, shape
-    (..., n)):
+    """The dense form of `PointGeometry.dtheta`: contract a matrix of theta
+    partials (or a stack of shape (..., n, n)) against a vertex vector (or
+    each vector of a stack, shape (..., n)):
     out_ij = (d theta_ij/d p_i) vec_i + (d theta_ij/d p_j) vec_j."""
     return d1 * vec[..., None] + d1.mT * vec[..., None, :]
 
@@ -36,78 +43,107 @@ def _matvec(M, v):
 
 
 class PointGeometry:
-    """The per-point ingredients of every covariant formula: theta, its first
-    partials D1 and L(theta) at p, from one model evaluation.  The metric
+    """The per-point ingredients of every covariant formula: theta and its
+    first partials D1 at p, from one model evaluation, as arrays over the
+    chain's edges: theta of shape (E,) and D1 of shape (2, E), the partial by
+    p_i at end i and by p_j at end j.  The dense L(theta), the metric
     R = L^+ and the second partials (S_ii, S_ij) are computed on first use.
 
     Potentials passed to the methods are float arrays of length n, or stacks
     of them of shape (..., n); a method taking two potentials broadcasts
     their leading axes, so `m(pots[:, None], pots[None, :])` is the (k, k)
-    table of every pair.  The model's evaluation validates p.
+    table of every pair.  Edge-valued results (`dtheta`, `second_theta`,
+    `nabla_theta_L`, `m`) are per-edge arrays of shape (..., E).  The model's
+    evaluation validates p.
 
     p may also be a stack of B points of shape (B, n) on the one chain.  Then
-    theta, d1 and L are (B, n, n) stacks, and the methods take one potential
-    per point, shape (..., B, n), and return one result per point; R needs a
-    single point.
+    theta and d1 are (B, E) and (B, 2, E) stacks and L is (B, n, n), and the
+    methods take one potential per point, shape (..., B, n), and return one
+    result per point; R needs a single point.
     """
 
     def __init__(self, chain, model, p):
         self.chain = chain
         self.model = model
         self.p = np.asarray(p, dtype=float)
-        self.theta, self.d1 = model.theta_d1_matrices(chain, self.p)
-        self.L = response_matrix(chain, self.theta)
+        self.theta, self.d1 = model.theta_d1_edges(chain, self.p)
+        # omega_ij theta_ij: L(theta) = B diag(conductance) B^T
+        self.conductance = chain.edge_omega * self.theta
+
+    @cached_property
+    def L(self):
+        return response_from_edges(self.chain, self.theta)
 
     @cached_property
     def R(self):
         return pseudo_inverse(self.L)
 
     @cached_property
+    def omega_d1(self):
+        """omega_ij D1 at both ends, the weight of every Gamma sum."""
+        return self.chain.edge_omega * self.d1
+
+    @cached_property
     def d2(self):
-        """(S_ii, S_ij), as model.d2_matrices."""
-        return self.model.d2_matrices(self.chain, self.p)
+        """(S_ii, S_ij) on the edges, as model.d2_edges."""
+        return self.model.d2_edges(self.chain, self.p)
 
     def velocity(self, phi):
-        """The tangent vector V_phi = L(theta) phi."""
-        if self.L.ndim == 2:
-            return phi @ self.L.T  # L phi, row by row for a stack
-        # one matrix-vector product per point: row b of phi by L[b]
-        return (phi[..., None, :] @ self.L.mT)[..., 0, :]
+        """The tangent vector V_phi = L(theta) phi = B (conductance B^T phi),
+        with no matrix."""
+        return self.flow(edge_difference(self.chain, phi))
+
+    def flow(self, d):
+        """B (conductance d): V_phi from d = edge_difference(phi)."""
+        return incidence(self.chain, self.conductance * d)
 
     def dtheta(self, v):
-        """Directional derivative of theta along the vertex vector v."""
-        return contract_d1(self.d1, v)
+        """Directional derivative of theta along the vertex vector v, per
+        edge: D1_ij v_i + D1_ji v_j."""
+        return (self.d1 * gather(v, self.chain.edge_ends)).sum(axis=-2)
 
-    def L_of(self, M):
-        """The response matrix of a symmetric edge matrix M."""
-        return response_matrix(self.chain, M)
+    def act(self, M, psi):
+        """L(M) psi for per-edge values M, with no matrix."""
+        chain = self.chain
+        return incidence(chain, chain.edge_omega * M * edge_difference(chain, psi))
 
     def dL(self, phi):
-        """L(V_phi theta), the derivative of L(theta) along V_phi."""
-        return self.L_of(self.dtheta(self.velocity(phi)))
+        """L(V_phi theta), the derivative of L(theta) along V_phi, as a dense
+        matrix."""
+        return response_from_edges(self.chain, self.dtheta(self.velocity(phi)))
 
     def gamma(self, phi, psi):
         """Gamma(phi, psi)_i = sum_j (grad phi)_ij (grad psi)_ij dtheta_ij/dp_i."""
-        g = grad_matrix(self.chain, phi)
-        h = g if psi is phi else grad_matrix(self.chain, psi)
-        return (g * h * self.d1).sum(axis=-1)
+        g = edge_difference(self.chain, phi)
+        return self.coupling(g, g if psi is phi else edge_difference(self.chain, psi))
+
+    def coupling(self, g, h):
+        """Gamma from the edge differences g, h of its two potentials: the
+        products g h omega D1 summed over the edge ends at each vertex."""
+        return end_sum(self.chain, (g * h)[..., None, :] * self.omega_d1)
 
     def commutator(self, phi1, phi2):
         """[V1, V2] = L(V_1 theta) phi2 - L(V_2 theta) phi1."""
-        return _matvec(self.dL(phi1), phi2) - _matvec(self.dL(phi2), phi1)
+        return (self.act(self.dtheta(self.velocity(phi1)), phi2)
+                - self.act(self.dtheta(self.velocity(phi2)), phi1))
 
     def second_theta(self, phi_a, phi_b):
         """W: the mixed second derivative of theta along V_a, V_b frozen."""
+        return self.d2theta(self.velocity(phi_a), self.velocity(phi_b))
+
+    def d2theta(self, va, vb):
+        """Second directional derivative of theta along the vertex vectors
+        va, vb, per edge: sum over the ends a, b of S_ab va_a vb_b."""
+        ends = self.chain.edge_ends
         s_ii, s_ij = self.d2
-        va, vb = self.velocity(phi_a), self.velocity(phi_b)
-        vb_i, vb_j = vb[..., None], vb[..., None, :]
-        dd_i = s_ii * vb_i + s_ij * vb_j
-        dd_j = s_ij * vb_i + s_ii.mT * vb_j
-        return dd_i * va[..., None] + dd_j * va[..., None, :]
+        va, vb = gather(va, ends), gather(vb, ends)
+        # at each end: S_aa vb_a + S_ij vb_(other end)
+        dd = s_ii * vb + s_ij[..., None, :] * vb[..., ::-1, :]
+        return (dd * va).sum(axis=-2)
 
     def nabla_theta_L(self, phi_a, phi_b):
         """dtheta contracted with L(V_a theta) phi_b."""
-        return self.dtheta(_matvec(self.dL(phi_a), phi_b))
+        return self.dtheta(self.act(self.dtheta(self.velocity(phi_a)), phi_b))
 
     def m(self, phi_a, phi_b):
         """m = -2W - dtheta(L(V_a theta) phi_b) - dtheta(L(V_b theta) phi_a)."""
@@ -119,7 +155,7 @@ class PointGeometry:
 def directional_theta(chain, model, phi, p):
     """First directional derivative of theta along V_phi (symmetric edge matrix)."""
     geo = PointGeometry(chain, model, p)
-    return geo.dtheta(geo.velocity(np.asarray(phi, dtype=float)))
+    return edge_matrix(chain, geo.dtheta(geo.velocity(np.asarray(phi, dtype=float)))[None])
 
 
 def gamma_op(chain, model, phi1, phi2, p):
@@ -187,22 +223,28 @@ class GeodesicRecord:
 
     @cached_property
     def speeds(self):
-        """sqrt(<V_Phi, V_Phi>) per recorded state, computed on first read
-        one state at a time (a stacked L at every row would hold
-        len(times) n^2 doubles)."""
+        """sqrt(<V_Phi, V_Phi>) per recorded state, computed on first read,
+        every row at once (`_speeds`)."""
         n = self.chain.n
-        rows = zip(self.states.reshape(-1, n), self.potentials.reshape(-1, n))
-        speeds = [_speed(self.chain, self.model, p, phi) for p, phi in rows]
-        return np.array(speeds).reshape(self.states.shape[:-1])
+        speeds = _speeds(self.chain, self.model, self.states.reshape(-1, n),
+                         self.potentials.reshape(-1, n))
+        return speeds.reshape(self.states.shape[:-1])
 
     def final_state(self):
         return self.states[-1]
 
 
-def _geodesic_rate(geo, phi):
-    """(dgamma/dt, dPhi/dt) = (L(theta) Phi, -1/2 Gamma(Phi, Phi)) at the
+def _geodesic_terms(geo, phi):
+    """Phi's edge differences d and the geodesic rate taken from them:
+    (d, dgamma/dt, dPhi/dt) = (d, L(theta) Phi, -1/2 Gamma(Phi, Phi)) at the
     bundle's point (or points)."""
-    return geo.velocity(phi), -0.5 * geo.gamma(phi, phi)
+    d = edge_difference(geo.chain, phi)
+    return d, geo.flow(d), -0.5 * geo.coupling(d, d)
+
+
+def _geodesic_rate(geo, phi):
+    """(dgamma/dt, dPhi/dt) = (L(theta) Phi, -1/2 Gamma(Phi, Phi))."""
+    return _geodesic_terms(geo, phi)[1:]
 
 
 def _center(v):
@@ -210,9 +252,38 @@ def _center(v):
     v -= v.mean(axis=0)
 
 
+# Doubles in one stacked temporary of a Jacobian shot, which stacks
+# B <= JACOBIAN_BLOCK / n^2 points; their edge arrays, (B, 2, E) at most, are
+# smaller still.
+JACOBIAN_BLOCK = 2**20
+# Doubles in one (rows, 2, E) array of a stack of rows (speeds, the energy
+# ledger): a model evaluation holds about ten such arrays at once, and blocks
+# this size stay in cache.
+ROW_BLOCK = JACOBIAN_BLOCK // 16
+
+
+def row_blocks(count, chain):
+    """Slices covering `count` rows on the chain, each holding at most
+    ROW_BLOCK doubles of a (rows, 2, E) array, and one row at least."""
+    step = max(1, ROW_BLOCK // chain.edge_flat.size)
+    return [slice(k, k + step) for k in range(0, count, step)]
+
+
+def _speeds(chain, model, states, pots):
+    """sqrt(phi^T L(theta(p)) phi) for each row of a (rows, n) stack of points
+    and of potentials, as the edge sum sum_(i,j) omega theta (phi_i - phi_j)^2
+    over blocks of rows."""
+    speeds = np.empty(len(states))
+    for rows in row_blocks(len(states), chain):
+        d = edge_difference(chain, pots[rows])
+        q = (chain.edge_omega * model.theta_edges(chain, states[rows]) * d * d).sum(axis=-1)
+        speeds[rows] = np.sqrt(np.maximum(q, 0.0))
+    return speeds
+
+
 def _speed(chain, model, p, phi):
-    L = response_at(chain, model, p)
-    return float(np.sqrt(max(phi @ L @ phi, 0.0)))
+    """The speed at one point: the one-row case of `_speeds`."""
+    return float(_speeds(chain, model, np.asarray(p)[None], np.asarray(phi)[None])[0])
 
 
 def geodesic_ivp(chain, model, p0, phi0, T, dt) -> GeodesicRecord:
@@ -246,11 +317,6 @@ def geodesic_ivp(chain, model, p0, phi0, T, dt) -> GeodesicRecord:
 
 def _mean_zero_basis(n):
     return scipy.linalg.null_space(np.ones((1, n)))  # (n, n-1), orthonormal
-
-
-# Doubles in one (B, n, n) temporary of a stacked Jacobian shot: the base and
-# its perturbations are shot in blocks of B <= JACOBIAN_BLOCK / n^2 points.
-JACOBIAN_BLOCK = 2**20
 
 
 def _jacobian_width(n):
@@ -399,20 +465,35 @@ def _transport_rate(geo, phi, eta):
     + L(theta) Gamma(phi, eta) ] at the bundle's point;  eta may hold several
     columns.
 
-    Written in the W-form below and checked against `levi_civita`, which is
-    its reference.  The metric action R(...) on the mean-zero bracket is taken
-    by a kernel-deflated solve rather than an eigendecomposition.
+    Written in the W-form of `_eta_rate` and checked against `levi_civita`,
+    which is its reference.  The metric action R(...) on the mean-zero
+    bracket is taken by a kernel-deflated solve rather than an
+    eigendecomposition.
     """
+    d = edge_difference(geo.chain, phi)
+    return _eta_rate(geo, d, geo.flow(d), eta)
+
+
+def _eta_rate(geo, d, v, eta):
+    """The transport rate of `_transport_rate` from the driving potential's
+    edge differences d and velocity v = V_phi."""
+    chain = geo.chain
     L = geo.L
     # W_ij = omega_ij D1_ij (phi_i - phi_j) collects every phi-weighted theta
     # sensitivity; with K = diag(rowsum W) - W both remaining terms are
-    # products with the eta columns:
-    #   L(V_eta theta) phi = K^T L eta,   Gamma(phi, eta) = K eta
-    W = geo.chain.omega * geo.d1 * (phi[:, None] - phi[None, :])
-    K = -W
-    np.fill_diagonal(K, W.sum(axis=1))
-    bracket = geo.dL(phi) @ eta - K.T @ (L @ eta) + L @ (K @ eta)
-    return -0.5 * deflated_solve(L, bracket)
+    # products with eta:
+    #   L(V_eta theta) phi = K^T L eta,   Gamma(phi, eta) = K eta.
+    # Over the ends of one edge, the two terms of K^T L eta meet as
+    # omega (D1_ij x_i + D1_ji x_j) (phi_i - phi_j) with x = L eta, so the
+    # bracket is B[omega (V_phi theta dEta - V_x theta d)] + L K eta, with
+    # dEta the edge differences of eta (taken one row per column) and L the
+    # dense matrix the solve needs anyway.
+    H = eta.T
+    dH = edge_difference(chain, H)
+    x = H @ L  # L is symmetric
+    bracket = (incidence(chain, chain.edge_omega * (geo.dtheta(v) * dH - geo.dtheta(x) * d))
+               + geo.coupling(d, dH) @ L)
+    return -0.5 * deflated_solve(L, bracket.T)
 
 
 def parallel_transport(chain, model, path, eta0, dt):
@@ -422,27 +503,27 @@ def parallel_transport(chain, model, path, eta0, dt):
     invariants of the exact flow.
     """
     eta0 = np.asarray(eta0, dtype=float)
-    single = eta0.ndim == 1
-    H = eta0[:, None].copy() if single else eta0.copy()
-    if H.shape[0] != chain.n:
-        raise ValueError("eta0 must have n entries (or one column of n per vector)")
-    H -= H.mean(axis=0)
     n = chain.n
+    if eta0.shape[:1] != (n,):
+        raise ValueError("eta0 must have n entries (or one column of n per vector)")
+    # the rates see one vector, or one column per vector
+    cols = (n,) if eta0.ndim == 1 else (n, -1)
+    H = eta0.reshape(n, -1)
+    H = H - H.mean(axis=0)
 
     def state(t, gamma, phi, eta):
-        eta = eta.reshape(n, -1)
-        return TransportState(float(t), gamma, phi, eta[:, 0] if single else eta)
+        return TransportState(float(t), gamma, phi, eta.reshape(cols))
 
     if isinstance(path, GeodesicPath):
         def f(y):
             geo = PointGeometry(chain, model, y[:n])
-            phi = y[n:2 * n]
-            deta = _transport_rate(geo, phi, y[2 * n:].reshape(n, -1))
-            return np.concatenate([*_geodesic_rate(geo, phi), deta.ravel()])
+            d, v, dphi = _geodesic_terms(geo, y[n:2 * n])
+            deta = _eta_rate(geo, d, v, y[2 * n:].reshape(cols))
+            return np.concatenate([v, dphi, deta.ravel()])
 
         def project(y):
             _center(y[n:2 * n])
-            _center(y[2 * n:].reshape(n, -1))
+            _center(y[2 * n:].reshape(cols))
 
         y0 = np.concatenate([check_interior(path.p0), mean_zero(path.phi0), H.ravel()])
         times, table = march(f, y0, path.T, dt, guard=n, project=project)
@@ -464,12 +545,12 @@ def parallel_transport(chain, model, path, eta0, dt):
             # y = (t, eta): the time rides along so one RK4 step serves both
             t = y[0]
             geo = PointGeometry(chain, model, at(t, states))
-            deta = _transport_rate(geo, at(t, pots), y[1:].reshape(n, -1))
+            deta = _transport_rate(geo, at(t, pots), y[1:].reshape(cols))
             return np.concatenate([[1.0], deta.ravel()])
 
         y0 = np.concatenate([times[:1], H.ravel()])
         grid, table = march(f, y0, times[-1] - times[0], dt, guard=0,
-                            project=lambda y: _center(y[1:].reshape(n, -1)))
+                            project=lambda y: _center(y[1:].reshape(cols)))
         return [state(t, at(t, states), at(t, pots), y[1:])
                 for t, y in zip(times[0] + grid, table)]
 
@@ -500,7 +581,7 @@ def hessian_form(chain, model, F: Energy, phi1, phi2, p, route="matrix"):
             - L @ geo.gamma(phi1, phi2)
         ))
     elif route == "edges":
-        theta_mat, d1 = geo.theta, geo.d1
+        theta_mat, d1 = model.theta_d1_matrices(chain, geo.p)
         g1 = grad_matrix(chain, phi1)
         g2 = grad_matrix(chain, phi2)
         gf = grad_matrix(chain, grad_f)

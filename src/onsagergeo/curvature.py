@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import grad_matrix
+from .chains import edge_difference, edge_matrix, grad_matrix, incidence
 from .connection import PointGeometry
 from .errors import DegeneratePlane
 from .metric import frame_potentials, pseudo_inverse, response_at
@@ -41,8 +41,8 @@ def second_directional(chain, model, phi1, phi2, p) -> SecondDirectional:
     phi2 = np.asarray(phi2, dtype=float)
     W = geo.second_theta(phi1, phi2)
     n12 = geo.nabla_theta_L(phi1, phi2)
-    return SecondDirectional(W=W, nabla_theta_L=n12, theta_second=W + n12,
-                             m=geo.m(phi1, phi2))
+    W, n12, sum12, m = (edge_matrix(chain, e[None]) for e in (W, n12, W + n12, geo.m(phi1, phi2)))
+    return SecondDirectional(W=W, nabla_theta_L=n12, theta_second=sum12, m=m)
 
 
 def gamma3(chain, model, phi1, phi2, phi3, phi4, p):
@@ -53,7 +53,8 @@ def gamma3(chain, model, phi1, phi2, phi3, phi4, p):
     """
     geo = PointGeometry(chain, model, p)
     phi1, phi2, phi3, phi4 = (np.asarray(f, dtype=float) for f in (phi1, phi2, phi3, phi4))
-    return _gamma3_core(chain, geo.theta, geo.d1, geo.gamma(phi1, phi2),
+    theta_mat, d1 = model.theta_d1_matrices(chain, geo.p)
+    return _gamma3_core(chain, theta_mat, d1, geo.gamma(phi1, phi2),
                         grad_matrix(chain, phi3), grad_matrix(chain, phi4))
 
 
@@ -76,21 +77,24 @@ def _riemann_assembled(geo: PointGeometry, pots):
         C[(a,c),(b,d)] = [V_a, V_c]^T R [V_b, V_d];
     every component is evaluated, none is filled in from a symmetry.
 
-    One table X[a,b] = L(V_a theta) phi_b, from a single `dL` of the stack,
-    serves both m and the commutators: [V_a, V_b] = X[a,b] - X[b,a] and
-    m(a,b) = -2 W(a,b) - dtheta(X[a,b] + X[b,a]).
+    One table X[a,b] = L(V_a theta) phi_b, from the k directional
+    derivatives of theta, serves both m and the commutators:
+    [V_a, V_b] = X[a,b] - X[b,a] and m(a,b) = -2 W(a,b) - dtheta(X[a,b] + X[b,a]).
+    The edge differences g and velocities V of the potentials are taken
+    once for all of these.
     """
     pots = np.asarray(pots, dtype=float)
     k, n = pots.shape
-    A, B = pots[:, None], pots[None, :]
-    g = grad_matrix(geo.chain, pots)
-    X = pots @ geo.dL(pots).mT
+    chain = geo.chain
+    g = edge_difference(chain, pots)
+    V = geo.flow(g)
+    X = incidence(chain, chain.edge_omega * geo.dtheta(V)[:, None] * g[None, :])
     Xt = X.swapaxes(0, 1)
-    # phi^T L(M) psi = 1/2 sum_ij omega_ij M_ij (phi_i - phi_j)(psi_i - psi_j)
-    # = 1/2 sum_ij M_ij (grad phi)_ij (grad psi)_ij, one product for all pairs
-    m = (-2.0 * geo.second_theta(A, B) - geo.dtheta(X + Xt)).reshape(k * k, n * n)
-    M = 0.5 * (m @ (g[:, None] * g[None, :]).reshape(k * k, n * n).T)
-    gam = geo.gamma(A, B).reshape(k * k, n)
+    # phi^T L(M) psi = sum_(edges ij) omega_ij M_ij (phi_i - phi_j)(psi_i - psi_j),
+    # one (k^2, E) @ (E, k^2) product for all pairs
+    m = (-2.0 * geo.d2theta(V[:, None], V[None, :]) - geo.dtheta(X + Xt)) * chain.edge_omega
+    M = m.reshape(k * k, -1) @ (g[:, None] * g[None, :]).reshape(k * k, -1).T
+    gam = geo.coupling(g[:, None], g[None, :]).reshape(k * k, n)
     G = gam @ geo.L @ gam.T
     comm = (X - Xt).reshape(k * k, n)
     C = comm @ geo.R @ comm.T
@@ -104,12 +108,13 @@ def _riemann_assembled(geo: PointGeometry, pots):
 
 
 def _riemann_explicit(geo: PointGeometry, phis):
-    """The curvature as explicit ordered-edge sums of theta and its partials:
-    a reference route, kept independent of `_riemann_assembled` so that the
-    two can check each other."""
-    ch = geo.chain
-    T, d1 = geo.theta, geo.d1
-    s_ii, s_ij = geo.d2
+    """The curvature as explicit ordered-edge sums of theta and its partials,
+    read from the model's matrix accessors: a reference route, kept
+    independent of `_riemann_assembled` so that the two can check each
+    other."""
+    ch, model = geo.chain, geo.model
+    T, d1 = model.theta_d1_matrices(ch, geo.p)
+    s_ii, s_ij = model.d2_matrices(ch, geo.p)
     g = [grad_matrix(ch, f) for f in phis]
     sw = ch.sqrt_omega
 

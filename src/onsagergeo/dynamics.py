@@ -6,9 +6,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .chains import grad_matrix
+from .chains import edge_difference, incidence
 from .errors import StepLeavesSimplex, BoundaryPoint
-from .metric import response_at, response_matrix
+from .metric import response_at
 from .mobility import EPS_BOUNDARY, as_simplex_point, check_interior
 
 MAX_HALVINGS = 20
@@ -162,28 +162,39 @@ class Trajectory:
         return self.states[-1]
 
 
+def _dissipation(chain, model, p):
+    """Both dissipation routes at a point, or at each point of a stack."""
+    g = model.divergence_gradient(chain, p)
+    theta = model.theta_edges(chain, p)
+    dg = edge_difference(chain, g)
+    # the quadratic form: g paired with L(theta) g = B (omega theta B^T g)
+    quad = -(g * incidence(chain, chain.edge_omega * theta * dg)).sum(axis=-1)
+    # the squared weighted gradient weighted by theta, summed over the edges
+    edge = -(chain.edge_omega * dg * dg * theta).sum(axis=-1)
+    return quad, edge
+
+
 def dissipation_pair(chain, model, p):
     """The energy decay rate along the flow, computed two ways:
     the quadratic form -g^T L(theta) g and the ordered-edge sum
     -1/2 sum (grad_omega g)_ij^2 theta_ij, g = grad D_f."""
-    g = model.divergence_gradient(chain, p)
-    theta_mat = model.theta_matrix(chain, p)
-    quad = -float(g @ response_matrix(chain, theta_mat) @ g)
-    gg = grad_matrix(chain, g)
-    edge = -0.5 * float(np.sum(gg * gg * theta_mat))
-    return quad, edge
+    quad, edge = _dissipation(chain, model, check_interior(p))
+    return float(quad), float(edge)
 
 
 def integrate(chain, model, p0, T, dt) -> Trajectory:
     """RK4 solution of the master equation with energy/dissipation records.
 
     Steps that would leave the eps-interior are retaken as half steps
-    (recursively, bounded); the recorded grid keeps the requested dt.
+    (recursively, bounded); the recorded grid keeps the requested dt.  The
+    ledger is evaluated on the whole state table, in blocks of rows.
     """
+    from .connection import row_blocks
+
     A = chain.flow_matrix()
     times, states = march(lambda q: A @ q, as_simplex_point(p0), T, dt, guard=chain.n)
-    energy = np.array([model.divergence(chain, q) for q in states])
-    pairs = [dissipation_pair(chain, model, q) for q in states]
-    dq = np.array([a for a, _ in pairs])
-    de = np.array([b for _, b in pairs])
+    energy, dq, de = (np.empty(len(times)) for _ in range(3))
+    for rows in row_blocks(len(times), chain):
+        energy[rows] = model.divergence(chain, states[rows])
+        dq[rows], de[rows] = _dissipation(chain, model, states[rows])
     return Trajectory(times, states, energy, dq, de)

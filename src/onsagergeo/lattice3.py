@@ -27,9 +27,10 @@ def lattice3_unit_chain():
 
 def _partials_route(geo):
     """General route: cumulative-coordinate partials of log theta taken by
-    exact chain rule from the model's p-partials at the bundle's point."""
-    T, d1 = geo.theta, geo.d1
-    s_ii, _ = geo.d2
+    exact chain rule from the model's p-partials at the bundle's point, read
+    from its matrix accessors."""
+    T, d1 = geo.model.theta_d1_matrices(geo.chain, geo.p)
+    s_ii, _ = geo.model.d2_matrices(geo.chain, geo.p)
     t1, t2 = T[0, 1], T[1, 2]
 
     d1_log_t1 = (d1[0, 1] - d1[1, 0]) / t1

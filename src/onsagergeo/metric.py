@@ -3,7 +3,9 @@ products, orthonormal frames, arc length, and geodesic distance."""
 
 import numpy as np
 import scipy.integrate
+import scipy.linalg
 
+from .chains import edge_matrix, grad_matrix
 from .errors import NearSingular
 
 KERNEL_RTOL = 1e-12  # eigenvalues below KERNEL_RTOL * lambda_max count as kernel
@@ -16,28 +18,39 @@ def mean_zero(phi):
     return phi - phi.mean(axis=-1, keepdims=True)
 
 
-def response_matrix(chain, edge_values):
-    """The response matrix L(M) of an edge matrix M:
-    L_ij = -omega_ij M_ij (i != j), L_ii = sum_k omega_ki M_ki.
+def response_from_edges(chain, values):
+    """The response matrix L(M) = B diag(omega M) B^T of per-edge values M
+    (shape (..., E)): L_ij = -omega_ij M_ij on the edges, L_ii =
+    sum_j omega_ij M_ij.
 
-    For M = theta this is the Onsager matrix; the same assembly applies to any
-    symmetric edge matrix (directional derivatives of theta, etc.), and to
-    each matrix of a stack of shape (..., n, n).  Rows and columns sum to zero.
+    The one place a response matrix is assembled; one matrix per row of a
+    stack.  Rows and columns sum to zero.
     """
-    A = chain.omega * edge_values
-    out = -A
-    # the diagonal takes the column sums (omega's diagonal is zero); out is a
-    # fresh contiguous array, so the reshape is a view and every n+1-th entry
-    # of a flattened matrix is its diagonal
-    n = out.shape[-1]
-    out.reshape(-1, n * n)[:, :: n + 1] = A.sum(axis=-2).reshape(-1, n)
+    # -omega M entrywise, down to the -0.0 off the edges: eigh takes its
+    # eigenvector signs, and so the frames of the curvature reports, from
+    # these bits
+    out = edge_matrix(chain, -(chain.edge_omega * values)[..., None, :], fill=-0.0)
+    # the diagonal takes minus the column sums; out is a fresh contiguous
+    # array, so the reshape is a view and every n+1-th entry of a flattened
+    # matrix is its diagonal
+    n = chain.n
+    out.reshape(-1, n * n)[:, :: n + 1] = -out.sum(axis=-2).reshape(-1, n)
     return out
+
+
+def response_matrix(chain, edge_values):
+    """The response matrix L(M) of a symmetric edge matrix M (or of each
+    matrix of a stack of shape (..., n, n)): `response_from_edges` of M's
+    entries (i, j), i < j.  For M = theta this is the Onsager matrix; the
+    same assembly applies to directional derivatives of theta, etc."""
+    i, j = chain.edge_ends
+    return response_from_edges(chain, np.asarray(edge_values)[..., i, j])
 
 
 def response_at(chain, model, p):
     """L(theta(p)), from the model's theta alone (no partials).  p may be a
     (B, n) stack of points, giving a (B, n, n) stack."""
-    return response_matrix(chain, model.theta_matrix(chain, p))
+    return response_from_edges(chain, model.theta_edges(chain, p))
 
 
 def eigensystem(L):
@@ -84,14 +97,16 @@ def deflated_solve(L, rhs):
     solution of the kernel-deflated system (L + 1 1^T / n) x = rhs.
 
     Adding the rank-one term moves the constant kernel to eigenvalue one and
-    leaves the mean-zero subspace untouched, so a plain solve replaces the
-    eigendecomposition inside ODE right-hand sides.
+    leaves the mean-zero subspace untouched, so the deflated matrix is
+    positive definite and a Cholesky solve replaces the eigendecomposition
+    inside ODE right-hand sides.
     """
     L = np.asarray(L, dtype=float)
-    try:
-        return np.linalg.solve(L + 1.0 / L.shape[0], rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NearSingular(f"deflated response solve failed ({exc})")
+    _, x, info = scipy.linalg.lapack.dposv(L + 1.0 / L.shape[0], rhs, overwrite_a=True)
+    if info != 0:
+        raise NearSingular(f"deflated response solve failed (LAPACK posv info {info}: "
+                           "the deflated matrix is not positive definite)")
+    return x
 
 
 def inner_product(chain, theta_mat, phi1, phi2):
@@ -102,8 +117,6 @@ def inner_product(chain, theta_mat, phi1, phi2):
 def inner_product_edges(chain, theta_mat, phi1, phi2):
     """Same inner product as an ordered-pair edge sum:
     1/2 sum_(i,j) (grad phi1)_ij (grad phi2)_ij theta_ij."""
-    from .chains import grad_matrix
-
     g1 = grad_matrix(chain, np.asarray(phi1, dtype=float))
     g2 = grad_matrix(chain, np.asarray(phi2, dtype=float))
     return float(0.5 * np.sum(g1 * g2 * theta_mat))

@@ -12,10 +12,16 @@ by the three-point closed forms).  The divergence-paired families are
 Near equal ratios all quotients switch to two-term Taylor expansions about the
 midpoint ratio, which is also how the limiting value theta -> 1/f''(z) is
 realized numerically.
+
+Models evaluate theta and its partials on the chain's edges (see
+`ReversibleChain`): theta and the mixed second partial once per edge, shape
+(..., E), and the partials by one endpoint at both ends, shape (..., 2, E).
+The matrix accessors scatter those arrays to (..., n, n).
 """
 
 import numpy as np
 
+from .chains import INCIDENCE, edge_matrix, gather
 from .errors import (
     BoundaryPoint,
     NonconvexF,
@@ -40,18 +46,6 @@ def check_interior(p, eps=EPS_BOUNDARY):
     return p
 
 
-def _zero_diagonal(m):
-    """Zero the diagonal of a square matrix, or of each matrix of a stack of
-    shape (..., n, n), in place."""
-    r = np.arange(m.shape[-1])
-    m[..., r, r] = 0.0
-
-
-def _outer(v):
-    """v_i v_j for a vector, or for each vector of a stack of shape (..., n)."""
-    return v[..., :, None] * v[..., None, :]
-
-
 def as_simplex_point(p, eps=EPS_BOUNDARY):
     """Validate an interior simplex point (positive entries, sums to one)."""
     p = check_interior(p, eps)
@@ -62,35 +56,46 @@ def as_simplex_point(p, eps=EPS_BOUNDARY):
 
 
 class MobilityModel:
-    """Base class; concrete models provide full-pair matrices of theta and its
-    partial derivatives (entry [i, j] differentiates theta_ij by p_i).
+    """Base class; concrete models evaluate theta and its partial derivatives
+    on the edges (i, j) of the chain:
+        theta_ij and S_ij = d^2 theta_ij / d p_i d p_j, one per edge;
+        D1 = d theta_ij / d p_a and S_aa = d^2 theta_ij / d p_a^2 at both ends
+        a = i, j (end i first).
 
     Every accessor also takes a stack of points of shape (..., n) on the one
-    chain and returns one matrix per point, shape (..., n, n).
+    chain and returns one array per point: (..., E) or (..., 2, E) for the
+    edge accessors, (..., n, n) for the matrix accessors.
     """
 
     kind = "abstract"
     has_divergence = False
 
-    # -- full-pair matrices (no edge mask), implemented by subclasses --------
-    def _theta_full(self, chain, p):
+    # -- edge arrays, implemented by subclasses on validated points ----------
+    def _theta_edges(self, chain, p):
         raise NotImplementedError
 
-    def _d1_full(self, chain, p):
+    def _theta_d1_edges(self, chain, p):
         raise NotImplementedError
 
-    def _d2_full(self, chain, p):
+    def _d2_edges(self, chain, p):
         raise NotImplementedError
 
-    def _theta_d1_full(self, chain, p):
-        """Both of the above; models override it to share intermediates."""
-        return self._theta_full(chain, p), self._d1_full(chain, p)
+    # -- public accessors -----------------------------------------------------
+    def theta_edges(self, chain, p):
+        """theta on each edge, (..., E)."""
+        return self._theta_edges(chain, check_interior(p))
 
-    # -- public, edge-masked accessors ---------------------------------------
+    def theta_d1_edges(self, chain, p):
+        """(theta, D1) from one evaluation: (..., E) and (..., 2, E)."""
+        return self._theta_d1_edges(chain, check_interior(p))
+
+    def d2_edges(self, chain, p):
+        """(S_ii at both ends, S_ij): (..., 2, E) and (..., E)."""
+        return self._d2_edges(chain, check_interior(p))
+
     def theta_matrix(self, chain, p):
         """Symmetric positive edge matrix theta, zero off the edge set."""
-        p = check_interior(p)
-        return np.where(chain.edge_mask, self._theta_full(chain, p), 0.0)
+        return edge_matrix(chain, self.theta_edges(chain, p)[..., None, :])
 
     def d1_matrix(self, chain, p):
         """D1[i, j] = d theta_ij / d p_i on edges, zero elsewhere."""
@@ -99,18 +104,13 @@ class MobilityModel:
     def d2_matrices(self, chain, p):
         """(S_ii, S_ij) with S_ii[i, j] = d^2 theta_ij / d p_i^2 and
         S_ij[i, j] = d^2 theta_ij / d p_i d p_j (S_ij symmetric)."""
-        p = check_interior(p)
-        s_ii, s_ij = self._d2_full(chain, p)
-        mask = chain.edge_mask
-        return np.where(mask, s_ii, 0.0), np.where(mask, s_ij, 0.0)
+        s_ii, s_ij = self.d2_edges(chain, p)
+        return edge_matrix(chain, s_ii), edge_matrix(chain, s_ij[..., None, :])
 
     def theta_d1_matrices(self, chain, p):
-        """(theta, D1) in one call; ODE right-hand sides use this so models can
-        share intermediates between the two."""
-        p = check_interior(p)
-        t, d = self._theta_d1_full(chain, p)
-        mask = chain.edge_mask
-        return np.where(mask, t, 0.0), np.where(mask, d, 0.0)
+        """(theta, D1) as matrices in one call."""
+        t, d = self.theta_d1_edges(chain, p)
+        return edge_matrix(chain, t[..., None, :]), edge_matrix(chain, d)
 
     # -- divergence interface -------------------------------------------------
     def divergence(self, chain, p):
@@ -180,34 +180,28 @@ class _DivergenceMean(_RatioMean):
         raise NotImplementedError
 
     def _branching(self, chain, p):
-        """Ratios plus the generic-branch plumbing.  The scalar family is
-        evaluated on the ratio vectors (n calls per point, broadcast to
-        pairs); `near` marks pairs needing the Taylor branch and always holds
-        the diagonal."""
+        """Ratios plus the generic-branch plumbing on the edges (i, j).  The
+        scalar family is evaluated on the ratio vectors (n calls per point)
+        and gathered to the edge ends.  `patch` holds the indices and the
+        midpoint data of the edges in the Taylor regime, or None when there
+        are none (the usual case); `safe` is f'(z_j) - f'(z_i), one on those
+        edges."""
         z, s = self._ratios(chain, p)
         f1v = self.f1(z)
         f2v = self.f2(z)
         if (f2v <= 0).any():
             raise NonconvexF(f"f'' <= 0 at a sampled ratio ({self.kind})")
-        diff = z[..., None, :] - z[..., :, None]
+        ze = gather(z, chain.edge_ends)
+        diff = ze[..., 1, :] - ze[..., 0, :]
+        f1e = gather(f1v, chain.edge_ends)
+        safe = f1e[..., 1, :] - f1e[..., 0, :]
         near = np.abs(diff) < DELTA_RATIO
-        safe = np.where(near, 1.0, f1v[..., None, :] - f1v[..., :, None])
-        return z, s, f2v, diff, near, safe
-
-    def _near_patch(self, z, near):
-        """Index/midpoint data for off-diagonal pairs in the Taylor regime,
-        over every point of a stack, or None when every off-diagonal pair is
-        generic (the usual case)."""
-        if np.count_nonzero(near) == z.size:  # diagonals only
-            return None
-        off = near.copy()
-        _zero_diagonal(off)
-        idx = np.nonzero(off)
-        if idx[0].size == 0:
-            return None
-        *lead, rows, cols = idx
-        zi, zj = z[(*lead, rows)], z[(*lead, cols)]
-        return idx, 0.5 * (zi + zj), 0.5 * (zj - zi)
+        if not near.any():
+            return z, s, f2v, diff, safe, None
+        idx = np.nonzero(near)
+        zi, zj = ze[..., 0, :][idx], ze[..., 1, :][idx]
+        patch = idx, 0.5 * (zi + zj), 0.5 * (zj - zi)
+        return z, s, f2v, diff, np.where(near, 1.0, safe), patch
 
     def _taylor_theta(self, mid, half):
         """Two-term Taylor expansion of theta about the midpoint ratio."""
@@ -215,63 +209,64 @@ class _DivergenceMean(_RatioMean):
         return 1.0 / f2m - self.f4(mid) / (6.0 * f2m**2) * half**2
 
     def _taylor_d1(self, mid, half):
-        """Two-term Taylor expansion of D1 (before the ratio scale s)."""
+        """Two-term Taylor expansion of D1 at end i (before the ratio scale
+        s); end j takes -half."""
         f2m = self.f2(mid)
         return -self.f3(mid) / (2.0 * f2m**2) + self.f4(mid) / (6.0 * f2m**2) * half
 
-    # The generic formulas below hold off the `near` pairs only; the Taylor
-    # patch overwrites the off-diagonal ones, and theta's diagonal is already
-    # diff / safe = 0 / 1 = 0.
-    def _theta_full(self, chain, p):
-        z, s, f2v, diff, near, safe = self._branching(chain, p)
+    # The generic formulas below hold off the Taylor edges only; the patch
+    # overwrites those.  At end a of an edge with other end b the quotients
+    # divide by f'(z_b) - f'(z_a), which is safe at end i and -safe at end j.
+    def _theta_edges(self, chain, p):
+        z, s, f2v, diff, safe, patch = self._branching(chain, p)
         t = diff / safe
-        patch = self._near_patch(z, near)
         if patch is not None:
             idx, mid, half = patch
             t[idx] = self._taylor_theta(mid, half)
         return t
 
-    def _theta_d1_full(self, chain, p):
-        """Full-pair theta and D1 from one branching pass."""
-        z, s, f2v, diff, near, safe = self._branching(chain, p)
+    def _theta_d1_edges(self, chain, p):
+        """theta and D1 from one branching pass."""
+        z, s, f2v, diff, safe, patch = self._branching(chain, p)
+        ends = chain.edge_ends
         t = diff / safe
-        d = (t * f2v[..., :, None] - 1.0) / safe
-        patch = self._near_patch(z, near)
+        d = (t[..., None, :] * gather(f2v, ends) - 1.0) / (safe[..., None, :] * INCIDENCE)
         if patch is not None:
             idx, mid, half = patch
             t[idx] = self._taylor_theta(mid, half)
-            d[idx] = self._taylor_d1(mid, half)
-        _zero_diagonal(d)
-        return t, d * s[:, None]
+            d[..., 0, :][idx] = self._taylor_d1(mid, half)
+            d[..., 1, :][idx] = self._taylor_d1(mid, -half)
+        return t, d * s[ends]
 
-    def _d2_full(self, chain, p):
-        z, s, f2v, diff, near, safe = self._branching(chain, p)
+    def _d2_edges(self, chain, p):
+        z, s, f2v, diff, safe, patch = self._branching(chain, p)
+        ends = chain.edge_ends
         t = diff / safe
-        f2i = f2v[..., :, None]
-        f2j = f2v[..., None, :]
-        s_ii = 2.0 * f2i * (t * f2i - 1.0) / safe**2 + t * self.f3(z)[..., :, None] / safe
+        f2e = gather(f2v, ends)
+        f2i, f2j = f2e[..., 0, :], f2e[..., 1, :]
+        den = safe[..., None, :] * INCIDENCE
+        te = t[..., None, :]
+        s_ii = 2.0 * f2e * (te * f2e - 1.0) / den**2 + te * gather(self.f3(z), ends) / den
         s_ij = (f2i + f2j - 2.0 * t * f2i * f2j) / safe**2
-        patch = self._near_patch(z, near)
         if patch is not None:
             idx, mid, half = patch
             f2m = self.f2(mid)
             f3m = self.f3(mid)
             f4m = self.f4(mid)
             even = f3m**2 / (2.0 * f2m**3)
-            s_ii[idx] = even - f4m / (3.0 * f2m**2) + half * (
-                self.f5(mid) / (6.0 * f2m**2) - f4m * f3m / (3.0 * f2m**3)
-            )
+            odd = self.f5(mid) / (6.0 * f2m**2) - f4m * f3m / (3.0 * f2m**3)
+            s_ii[..., 0, :][idx] = even - f4m / (3.0 * f2m**2) + half * odd
+            s_ii[..., 1, :][idx] = even - f4m / (3.0 * f2m**2) - half * odd
             s_ij[idx] = even - f4m / (6.0 * f2m**2)
-        _zero_diagonal(s_ii)
-        _zero_diagonal(s_ij)
-        sv = s[:, None]
-        return s_ii * sv**2, s_ij * sv * s[None, :]
+        se = s[ends]
+        return s_ii * se**2, s_ij * se[0] * se[1]
 
     # divergence D_f(p || reference) = sum_i w_i f(z_i) ----------------------
     def divergence(self, chain, p):
+        """The divergence; one value per point of a stack."""
         p = check_interior(p)
         z, _ = self._ratios(chain, p)
-        return float(self._weights(chain) @ self.f0(z))
+        return (self._weights(chain) * self.f0(z)).sum(axis=-1)
 
     def divergence_gradient(self, chain, p):
         p = check_interior(p)
@@ -362,24 +357,23 @@ class GeometricMean(_RatioMean):
         super().__init__(convention, c)
         self.beta = float(beta)
 
-    def _theta_full(self, chain, p):
+    def _theta_edges(self, chain, p):
         if self.convention == "scaled":
-            t = self.c * _outer(p) ** self.beta
-        else:
-            t = _outer(p / chain.pi) ** self.beta
-        _zero_diagonal(t)
-        return t
+            pe = gather(p, chain.edge_ends)
+            return self.c * (pe[..., 0, :] * pe[..., 1, :]) ** self.beta
+        ze = gather(p / chain.pi, chain.edge_ends)
+        return (ze[..., 0, :] * ze[..., 1, :]) ** self.beta
 
-    def _theta_d1_full(self, chain, p):
-        t = self._theta_full(chain, p)
-        return t, self.beta * t / p[..., :, None]
+    def _theta_d1_edges(self, chain, p):
+        t = self._theta_edges(chain, p)
+        return t, self.beta * t[..., None, :] / gather(p, chain.edge_ends)
 
-    def _d2_full(self, chain, p):
-        t = self._theta_full(chain, p)
+    def _d2_edges(self, chain, p):
+        t = self._theta_edges(chain, p)
+        pe = gather(p, chain.edge_ends)
         b = self.beta
-        s_ii = b * (b - 1.0) * t / p[..., :, None] ** 2
-        s_ij = b**2 * t / _outer(p)
-        return s_ii, s_ij
+        return (b * (b - 1.0) * t[..., None, :] / pe**2,
+                b**2 * t / (pe[..., 0, :] * pe[..., 1, :]))
 
 
 class CustomMean(MobilityModel):
@@ -388,8 +382,8 @@ class CustomMean(MobilityModel):
     Parameters
     ----------
     theta_fn : callable(chain, p) -> (n, n) array
-        Full symmetric matrix of edge weights (off-edge entries ignored),
-        called with one point at a time.
+        Full symmetric matrix of edge weights, called with one point at a
+        time; it is read at the edge entries (off-edge entries ignored).
     f : optional triple (f0, f1, f2) of scalar callables
         Paired divergence family; enables the divergence interface.
     """
@@ -401,46 +395,47 @@ class CustomMean(MobilityModel):
         self.f = f
         self.has_divergence = f is not None
 
-    def _theta_full(self, chain, p):
-        # the callback sees one point at a time
-        rows = [self.theta_fn(chain, q) for q in p.reshape(-1, chain.n)]
-        return np.asarray(rows, dtype=float).reshape(p.shape + (chain.n,))
+    def _theta_edges(self, chain, p):
+        # the callback sees one point at a time and is read at each edge (i, j)
+        i, j = chain.edge_ends
+        rows = [np.asarray(self.theta_fn(chain, q), dtype=float)[i, j]
+                for q in p.reshape(-1, chain.n)]
+        return np.asarray(rows).reshape(p.shape[:-1] + i.shape)
 
-    def _d1_full(self, chain, p):
-        n = chain.n
-        d1 = np.zeros(p.shape + (n,))
-        for k in range(n):
-            e = np.zeros(n)
-            e[k] = H1
-            dt = (self._theta_full(chain, p + e) - self._theta_full(chain, p - e)) / (2 * H1)
-            d1[..., k, :] = dt[..., k, :]
-        return d1
+    def _partials_by_vertex(self, chain, p, h, difference):
+        """Two-ended values at the edge ends of each vertex k, from
+        difference(theta at p + h e_k, theta at p - h e_k)."""
+        out = np.empty(p.shape[:-1] + chain.edge_ends.shape)
+        for k in range(chain.n):
+            e = np.zeros(chain.n)
+            e[k] = h
+            value = difference(self._theta_edges(chain, p + e), self._theta_edges(chain, p - e))
+            for end in (0, 1):
+                mine = chain.edge_ends[end] == k
+                out[..., end, mine] = value[..., mine]
+        return out
 
-    def _d2_full(self, chain, p):
+    def _theta_d1_edges(self, chain, p):
+        d1 = self._partials_by_vertex(chain, p, H1, lambda tp, tm: (tp - tm) / (2 * H1))
+        return self._theta_edges(chain, p), d1
+
+    def _d2_edges(self, chain, p):
         n = chain.n
-        t0 = self._theta_full(chain, p)
-        s_ii = np.zeros(p.shape + (n,))
-        s_ij = np.zeros(p.shape + (n,))
-        for k in range(n):
-            e = np.zeros(n)
-            e[k] = H2
-            tp = self._theta_full(chain, p + e)
-            tm = self._theta_full(chain, p - e)
-            s_ii[..., k, :] = (tp - 2 * t0 + tm)[..., k, :] / H2**2
-        for k in range(n):
-            for l in range(k + 1, n):
-                ek = np.zeros(n)
-                el = np.zeros(n)
-                ek[k] = H2
-                el[l] = H2
-                mixed = (
-                    self._theta_full(chain, p + ek + el)
-                    - self._theta_full(chain, p + ek - el)
-                    - self._theta_full(chain, p - ek + el)
-                    + self._theta_full(chain, p - ek - el)
-                ) / (4 * H2**2)
-                s_ij[..., k, l] = mixed[..., k, l]
-                s_ij[..., l, k] = mixed[..., k, l]
+        t0 = self._theta_edges(chain, p)
+        s_ii = self._partials_by_vertex(chain, p, H2, lambda tp, tm: (tp - 2 * t0 + tm) / H2**2)
+        s_ij = np.empty_like(t0)
+        for e, (k, l) in enumerate(chain.edges):
+            ek = np.zeros(n)
+            el = np.zeros(n)
+            ek[k] = H2
+            el[l] = H2
+            mixed = (
+                self._theta_edges(chain, p + ek + el)
+                - self._theta_edges(chain, p + ek - el)
+                - self._theta_edges(chain, p - ek + el)
+                + self._theta_edges(chain, p - ek - el)
+            ) / (4 * H2**2)
+            s_ij[..., e] = mixed[..., e]
         return s_ii, s_ij
 
     def divergence(self, chain, p):
@@ -448,7 +443,7 @@ class CustomMean(MobilityModel):
             return super().divergence(chain, p)
         p = check_interior(p)
         z = p / chain.pi
-        return float(chain.pi @ self.f[0](z))
+        return (chain.pi * self.f[0](z)).sum(axis=-1)
 
     def divergence_gradient(self, chain, p):
         if self.f is None:

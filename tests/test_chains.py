@@ -17,6 +17,7 @@ from onsagergeo import (
     triangle_reaction_chain,
 )
 from onsagergeo.acceptance import random_reversible_chain
+from onsagergeo.chains import edge_difference, edge_matrix, end_sum, incidence
 
 
 def test_triangle_reaction_stationary_state():
@@ -157,3 +158,34 @@ def test_edge_field_masks_non_edges():
     assert v[0, 2] == 0.0
     assert v[1, 0] == -1.0
     assert v[1, 2] == 2.0
+
+
+def test_edge_arrays_match_the_pair_loops():
+    rng = np.random.default_rng(31)
+    for n, prob in ((3, 0.5), (7, 0.3), (12, 1.0), (40, 0.05)):
+        chain = random_reversible_chain(rng, n, extra_edge_prob=prob)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if chain.omega[i, j] > 0]
+        assert chain.edges == tuple(pairs)
+        assert all(isinstance(i, int) for edge in chain.edges for i in edge)
+        assert chain.neighbors == tuple(
+            frozenset(j for j in range(n) if chain.omega[v, j] > 0) for v in range(n))
+        i, j = chain.edge_ends
+        assert list(zip(i.tolist(), j.tolist())) == pairs
+        assert np.array_equal(chain.edge_omega, chain.omega[i, j])
+        phi = rng.normal(size=(2, n))
+        assert np.array_equal(edge_difference(chain, phi), phi[:, i] - phi[:, j])
+        # B x against the incidence matrix, and the sums over edge ends
+        B = np.zeros((n, len(pairs)))
+        B[i, np.arange(len(pairs))] = 1.0
+        B[j, np.arange(len(pairs))] = -1.0
+        x = rng.normal(size=(2, len(pairs)))
+        assert_allclose(incidence(chain, x), x @ B.T, rtol=0, atol=1e-13)
+        ends = rng.normal(size=(2, 2, len(pairs)))
+        want = ends[:, 0] @ (B > 0).T + ends[:, 1] @ (B < 0).T
+        assert_allclose(end_sum(chain, ends), want, rtol=0, atol=1e-13)
+        # the two ends land at (i, j) and (j, i); per-edge values fill both
+        M = edge_matrix(chain, ends)
+        assert np.array_equal(M[:, i, j], ends[:, 0]) and np.array_equal(M[:, j, i], ends[:, 1])
+        assert (M[:, ~chain.edge_mask] == 0.0).all()
+        sym = edge_matrix(chain, x[0][None])
+        assert np.array_equal(sym, sym.T) and np.array_equal(sym[i, j], x[0])

@@ -34,17 +34,21 @@ from onsagergeo.acceptance import (
     random_reversible_chain,
 )
 from onsagergeo import connection, dynamics
+from onsagergeo.chains import edge_matrix
 from onsagergeo.connection import (
     JACOBIAN_BLOCK,
+    GeodesicRecord,
     PointGeometry,
     _jacobian_width,
     _matvec,
     _mean_zero_basis,
     _shooting_jacobian,
     _speed,
+    _speeds,
     _transport_rate,
     contract_d1,
 )
+from onsagergeo.dynamics import integrate
 from onsagergeo.errors import StepLeavesSimplex
 from onsagergeo.mobility import EPS_BOUNDARY
 
@@ -589,3 +593,119 @@ def test_hessian_matches_geodesic_second_difference():
           + F.value(bwd.final_state())) / h**2
     hess = hessian_form(LATTICE, KL, F, phi, phi, p)
     assert hess == pytest.approx(fd, rel=1e-4)
+
+
+def _incidence_response(chain, M):
+    """B diag(omega_e M_e) B^T over the unordered edges e = (i, j), with the
+    incidence matrix B written out: the paper's form of L(M)."""
+    B = np.zeros((chain.n, len(chain.edges)))
+    weights = np.empty(len(chain.edges))
+    for e, (i, j) in enumerate(chain.edges):
+        B[i, e], B[j, e] = 1.0, -1.0
+        weights[e] = chain.omega[i, j] * M[i, j]
+    return (B * weights) @ B.T
+
+
+def test_edge_geometry_matches_the_dense_incidence_definitions():
+    rng = np.random.default_rng(77)
+    sparse = random_reversible_chain(rng, 40, extra_edge_prob=0.03)
+    complete = random_reversible_chain(rng, 12, extra_edge_prob=1.0)
+    assert len(sparse.edges) < 80 and len(complete.edges) == 66
+    for chain in (sparse, complete):
+        n = chain.n
+        P = np.array([random_interior_point(rng, n, floor=1e-4) for _ in range(3)])
+        Phi, Psi = (np.array([random_potential(rng, n) for _ in range(3)]) for _ in range(2))
+        for model in CURVED_MODELS:
+            stacked = PointGeometry(chain, model, P)
+            for b, p in enumerate(P):
+                geo = PointGeometry(chain, model, p)
+                theta, d1 = model.theta_d1_matrices(chain, p)
+                L = _incidence_response(chain, theta)
+                phi, psi = Phi[b], Psi[b]
+                v = L @ phi
+                dtheta = d1 * v[:, None] + d1.T * v[None, :]
+                grad = lambda f: f[None, :] - f[:, None]
+                gam = (chain.omega * grad(phi) * grad(psi) * d1).sum(axis=1)
+                dL = {f.tobytes(): _incidence_response(chain, contract_d1(d1, L @ f))
+                      for f in (phi, psi)}
+                comm = dL[phi.tobytes()] @ psi - dL[psi.tobytes()] @ phi
+                pairs = [(geo.L, L), (geo.velocity(phi), v),
+                         (edge_matrix(chain, geo.dtheta(v)[None]), dtheta),
+                         (geo.gamma(phi, psi), gam), (geo.dL(phi), dL[phi.tobytes()]),
+                         (geo.commutator(phi, psi), comm)]
+                rows = [stacked.L[b], stacked.velocity(Phi)[b],
+                        edge_matrix(chain, stacked.dtheta(stacked.velocity(Phi))[b][None]),
+                        stacked.gamma(Phi, Psi)[b], stacked.dL(Phi)[b],
+                        stacked.commutator(Phi, Psi)[b]]
+                for (got, want), row in zip(pairs, rows):
+                    scale = abs(want).max()
+                    assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+                    assert_allclose(row, want, rtol=0, atol=1e-12 * scale)
+
+
+def test_transport_rate_matches_the_connection_on_a_sparse_chain():
+    rng = np.random.default_rng(78)
+    chain = random_reversible_chain(rng, 60, extra_edge_prob=0.03)
+    p = random_interior_point(rng, 60, floor=1e-4)
+    phi = random_potential(rng, 60)
+    eta = np.column_stack([random_potential(rng, 60) for _ in range(2)])
+    L = response_matrix(chain, KL.theta_matrix(chain, p))
+    geo = PointGeometry(chain, KL, p)
+    rate = _transport_rate(geo, phi, eta)
+    for k in range(2):
+        expected = -deflated_solve(L, levi_civita(chain, KL, phi, eta[:, k], p).vector)
+        assert_allclose(rate[:, k], expected, rtol=0, atol=1e-12 * abs(expected).max())
+        # one vector is transported as a 1-D array, as the first column
+        assert_allclose(_transport_rate(geo, phi, eta[:, k]), rate[:, k],
+                        rtol=0, atol=1e-14 * abs(expected).max())
+
+
+def test_stacked_speeds_match_row_by_row():
+    rng = np.random.default_rng(79)
+    for model in CURVED_MODELS:
+        chain, p = _case(rng)
+        Phi = np.array([_scaled_potential(chain, model, p, rng.normal(size=chain.n), 0.05)
+                        for _ in range(2)])
+        rec = geodesic_ivp(chain, model, p, Phi, 0.5, 0.01)
+        n = chain.n
+        want = [_speed(chain, model, q, f)
+                for q, f in zip(rec.states.reshape(-1, n), rec.potentials.reshape(-1, n))]
+        want = np.reshape(want, rec.states.shape[:-1])
+        assert_allclose(rec.speeds, want, rtol=0, atol=1e-14 * abs(want).max())
+        # and against the quadratic form of the response matrix
+        quad = [np.sqrt(f @ response_matrix(chain, model.theta_matrix(chain, q)) @ f)
+                for q, f in zip(rec.states[-1], rec.potentials[-1])]
+        assert_allclose(rec.speeds[-1], quad, rtol=1e-13)
+
+
+def test_stacked_rows_stay_within_the_block_budget(monkeypatch):
+    # speeds and the energy ledger take their rows in blocks whose (rows, 2, E)
+    # edge arrays hold at most ROW_BLOCK doubles, and form no matrices
+    rng = np.random.default_rng(80)
+    chain, p = _case(rng, 5)
+    phi0 = _scaled_potential(chain, KL, p, rng.normal(size=5), 0.05)
+    rec = geodesic_ivp(chain, KL, p, phi0, 0.2, 0.01)
+    traj = integrate(chain, KL, p, 0.2, 0.01)
+    width = chain.edge_flat.size
+    shapes = []
+
+    class Recorded(KLLogMean):
+        def theta_edges(self, chain, p):
+            shapes.append(np.shape(p))
+            return super().theta_edges(chain, p)
+
+        def theta_matrix(self, chain, p):
+            raise AssertionError("a matrix accessor was called")
+
+        theta_d1_matrices = d2_matrices = theta_matrix
+
+    budget = 4 * width
+    monkeypatch.setattr(connection, "ROW_BLOCK", budget)
+    model = Recorded()
+    speeds = GeodesicRecord(rec.times, rec.states, rec.potentials, chain, model).speeds
+    blocked = integrate(chain, model, p, 0.2, 0.01)
+    assert len(rec.times) == 21 and len(shapes) == 2 * 6
+    assert all(len(s) == 2 and s[0] * width <= budget for s in shapes)
+    assert np.array_equal(speeds, rec.speeds)
+    for name in ("energy", "dissipation_quadratic", "dissipation_edgesum"):
+        assert np.array_equal(getattr(blocked, name), getattr(traj, name))

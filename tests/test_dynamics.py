@@ -25,7 +25,9 @@ from onsagergeo.acceptance import (
     random_potential,
     random_reversible_chain,
 )
+from onsagergeo.chains import grad_matrix
 from onsagergeo.dynamics import _time_grid
+from onsagergeo.metric import response_matrix
 
 TRIANGLE = triangle_reaction_chain()
 LATTICE = lattice3_chain()
@@ -135,6 +137,25 @@ def test_dissipation_routes_agree():
             quad, edge = dissipation_pair(chain, model, p)
             assert quad <= 0.0 and edge <= 1e-15
             assert quad == pytest.approx(edge, abs=1e-12 * (1 + abs(quad)))
+
+
+@pytest.mark.parametrize("model", PAIRED_MODELS, ids=PAIRED_IDS)
+def test_stacked_ledger_matches_row_by_row(model):
+    rng = np.random.default_rng(45)
+    chain = random_reversible_chain(rng, 6)
+    traj = integrate(chain, model, random_interior_point(rng, 6, floor=1e-2), 2.0, 0.01)
+    pairs = np.array([dissipation_pair(chain, model, p) for p in traj.states])
+    energy = np.array([model.divergence(chain, p) for p in traj.states])
+    for got, want in ((traj.energy, energy), (traj.dissipation_quadratic, pairs[:, 0]),
+                      (traj.dissipation_edgesum, pairs[:, 1])):
+        assert_allclose(got, want, rtol=0, atol=1e-14 * abs(want).max())
+    # the one-state routes against their matrix forms
+    for p, (quad, edge) in zip(traj.states[::20], pairs[::20]):
+        g = model.divergence_gradient(chain, p)
+        theta = model.theta_matrix(chain, p)
+        gg = grad_matrix(chain, g)
+        assert quad == pytest.approx(-g @ response_matrix(chain, theta) @ g, rel=1e-12)
+        assert edge == pytest.approx(-0.5 * np.sum(gg * gg * theta), rel=1e-12)
 
 
 def test_stiff_step_near_a_vertex_is_caught():

@@ -399,3 +399,54 @@ def test_convention_validation():
         GeometricMean(convention="weird")
     with pytest.raises(ValueError):
         GeometricMean(convention="scaled", c=-1.0)
+
+
+@pytest.mark.parametrize("model", STACK_MODELS, ids=STACK_IDS)
+def test_edge_arrays_match_the_matrices_and_finite_differences(model):
+    rng = np.random.default_rng(23)
+    chain = random_reversible_chain(rng, 5)
+    P = np.array([random_interior_point(rng, 5, floor=0.02) for _ in range(3)])
+    # row 1 gets equal ratios on the edge (0, 1), which puts it on the Taylor branch
+    P[1, 1] = P[1, 0] / chain.pi[0] * chain.pi[1]
+    P[1] /= P[1].sum()
+    assert abs(P[1, 0] / chain.pi[0] - P[1, 1] / chain.pi[1]) < DELTA_RATIO
+    i, j = chain.edge_ends
+    E = len(chain.edges)
+    assert list(zip(i, j)) == list(chain.edges)
+    t, d = model.theta_d1_edges(chain, P)
+    s_ii, s_ij = model.d2_edges(chain, P)
+    assert t.shape == s_ij.shape == (3, E) and d.shape == s_ii.shape == (3, 2, E)
+    assert np.array_equal(model.theta_edges(chain, P), t)
+    # the matrix accessors hold the same numbers, (i, j) for end i and
+    # (j, i) for end j, and zeros off the edges
+    theta, d1 = model.theta_d1_matrices(chain, P)
+    m_ii, m_ij = model.d2_matrices(chain, P)
+    for both, ends in ((theta, t), (m_ij, s_ij)):
+        assert np.array_equal(both[:, i, j], ends) and np.array_equal(both[:, j, i], ends)
+    for two, ends in ((d1, d), (m_ii, s_ii)):
+        assert np.array_equal(two[:, i, j], ends[:, 0]) and np.array_equal(two[:, j, i], ends[:, 1])
+    for dense in (theta, d1, m_ii, m_ij):
+        assert (dense[:, ~chain.edge_mask] == 0.0).all()
+
+    def theta_at(Q):
+        return model.theta_edges(chain, Q)
+
+    # the Taylor row's neighbours at p +- h are on the generic quotients,
+    # whose theta loses eps / |z_i - z_j| to cancellation: about 1e-11 at
+    # h1 = 1e-5, which the first differences divide by h1, and 1e-12 at
+    # h2 = 1e-4, which the second differences divide by h2^2 (hence atol)
+    h1, h2 = 1e-5, 1e-4
+    for k in range(chain.n):
+        e = np.zeros(chain.n)
+        e[k] = 1.0
+        fd1 = (theta_at(P + h1 * e) - theta_at(P - h1 * e)) / (2 * h1)
+        fd2 = (theta_at(P + h2 * e) - 2 * t + theta_at(P - h2 * e)) / h2**2
+        for end, at in ((0, i == k), (1, j == k)):
+            assert_allclose(d[:, end, at], fd1[:, at], rtol=1e-6, atol=1e-8)
+            assert_allclose(s_ii[:, end, at], fd2[:, at], rtol=1e-4, atol=1e-4)
+    for e, (a, b) in enumerate(chain.edges):
+        ea, eb = np.zeros(chain.n), np.zeros(chain.n)
+        ea[a] = eb[b] = h2
+        mixed = (theta_at(P + ea + eb) - theta_at(P + ea - eb)
+                 - theta_at(P - ea + eb) + theta_at(P - ea - eb)) / (4 * h2**2)
+        assert_allclose(s_ij[:, e], mixed[:, e], rtol=1e-4, atol=1e-4)
