@@ -44,7 +44,6 @@ from onsagergeo.connection import (
     _mean_zero_basis,
     _shooting_jacobian,
     _speed,
-    _speeds,
     _transport_rate,
     contract_d1,
 )
