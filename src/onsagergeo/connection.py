@@ -17,11 +17,12 @@ from .chains import (
     incidence,
 )
 from .dynamics import Energy, march
-from .errors import BvpNoConvergence, OnsagerGeoError
+from .errors import BvpNoConvergence, NearSingular, OnsagerGeoError
 from .metric import (
     curve_velocity,
     deflated_solve,
     mean_zero,
+    metric_action,
     pseudo_inverse,
     response_at,
     response_from_edges,
@@ -57,9 +58,9 @@ class PointGeometry:
     evaluation validates p.
 
     p may also be a stack of B points of shape (B, n) on the one chain.  Then
-    theta and d1 are (B, E) and (B, 2, E) stacks and L is (B, n, n), and the
-    methods take one potential per point, shape (..., B, n), and return one
-    result per point; R needs a single point.
+    theta and d1 are (B, E) and (B, 2, E) stacks, L and R are (B, n, n), and
+    the methods take one potential per point, shape (..., B, n), and return
+    one result per point.
     """
 
     def __init__(self, chain, model, p):
@@ -76,7 +77,13 @@ class PointGeometry:
 
     @cached_property
     def R(self):
-        return pseudo_inverse(self.L)
+        try:
+            return pseudo_inverse(self.L)
+        except NearSingular as exc:
+            # name the smallest entry of the point whose matrix failed (of
+            # the whole stack when the eigensolver cannot place it)
+            p = self.p if exc.row is None else self.p[exc.row]
+            raise NearSingular(f"{exc}; min p {p.min():.3e}", row=exc.row) from exc
 
     @cached_property
     def omega_d1(self):
@@ -266,6 +273,13 @@ def row_blocks(count, chain):
     """Slices covering `count` rows on the chain, each holding at most
     ROW_BLOCK doubles of a (rows, 2, E) array, and one row at least."""
     step = max(1, ROW_BLOCK // chain.edge_flat.size)
+    return [slice(k, k + step) for k in range(0, count, step)]
+
+
+def state_blocks(count, n):
+    """Slices covering `count` states of n entries, each holding at most
+    JACOBIAN_BLOCK doubles of a (rows, n, n) array, and one row at least."""
+    step = max(1, JACOBIAN_BLOCK // n**2)
     return [slice(k, k + step) for k in range(0, count, step)]
 
 
@@ -532,11 +546,7 @@ def parallel_transport(chain, model, path, eta0, dt):
     if isinstance(path, SampledPath):
         times = np.asarray(path.times, dtype=float)
         states = np.asarray(path.states, dtype=float)
-        vel = curve_velocity(times, states)
-        pots = np.empty_like(states)
-        for k, (p, v) in enumerate(zip(states, vel)):
-            R = pseudo_inverse(response_at(chain, model, p))
-            pots[k] = mean_zero(R @ v)
+        pots = mean_zero(metric_action(chain, model, states, curve_velocity(times, states)))
 
         def at(t, samples):
             return np.array([np.interp(t, times, samples[:, i]) for i in range(n)])

@@ -68,7 +68,9 @@ def _gamma3_core(chain, theta_mat, d1, gam_12, g3, g4):
 
 def _riemann_assembled(geo: PointGeometry, pots):
     """The tensor T[a,b,c,d] = <R(V_a, V_b) V_c, V_d> over a stack of k
-    potentials, shape (k, n), as a (k, k, k, k) array.
+    potentials, shape (k, n), as a (k, k, k, k) array.  On a bundle of B
+    points the potentials are (k, B, n), one per point, and the result is
+    (B, k, k, k, k), one tensor per point.
 
     Nine terms built from three k^2 x k^2 blocks over the pairs of
     potentials:
@@ -84,26 +86,32 @@ def _riemann_assembled(geo: PointGeometry, pots):
     once for all of these.
     """
     pots = np.asarray(pots, dtype=float)
-    k, n = pots.shape
+    k = len(pots)
     chain = geo.chain
     g = edge_difference(chain, pots)
     V = geo.flow(g)
     X = incidence(chain, chain.edge_omega * geo.dtheta(V)[:, None] * g[None, :])
     Xt = X.swapaxes(0, 1)
+
+    def pairs(Z):
+        """A (k, k, ..., m) table of pairs as (..., k^2, m) blocks, the
+        points' axis first."""
+        return np.moveaxis(Z, (0, 1), (-3, -2)).reshape(Z.shape[2:-1] + (k * k, -1))
+
     # phi^T L(M) psi = sum_(edges ij) omega_ij M_ij (phi_i - phi_j)(psi_i - psi_j),
-    # one (k^2, E) @ (E, k^2) product for all pairs
+    # one (k^2, E) @ (E, k^2) product per point for all pairs
     m = (-2.0 * geo.d2theta(V[:, None], V[None, :]) - geo.dtheta(X + Xt)) * chain.edge_omega
-    M = m.reshape(k * k, -1) @ (g[:, None] * g[None, :]).reshape(k * k, -1).T
-    gam = geo.coupling(g[:, None], g[None, :]).reshape(k * k, n)
-    G = gam @ geo.L @ gam.T
-    comm = (X - Xt).reshape(k * k, n)
-    C = comm @ geo.R @ comm.T
-    M, G, C = (Z.reshape(k, k, k, k) for Z in (M, G, C))
+    M = pairs(m) @ pairs(g[:, None] * g[None, :]).mT
+    gam = pairs(geo.coupling(g[:, None], g[None, :]))
+    G = gam @ geo.L @ gam.mT
+    comm = pairs(X - Xt)
+    C = comm @ geo.R @ comm.mT
+    M, G, C = (Z.reshape(Z.shape[:-2] + (k, k, k, k)) for Z in (M, G, C))
     MGC = M + G + C
     return 0.25 * (
-        np.einsum("acbd->abcd", MGC) - np.einsum("bcad->abcd", MGC)
-        + np.einsum("bdac->abcd", M) - np.einsum("adbc->abcd", M)
-        + 2.0 * np.einsum("cdab->abcd", C)
+        np.einsum("...acbd->...abcd", MGC) - np.einsum("...bcad->...abcd", MGC)
+        + np.einsum("...bdac->...abcd", M) - np.einsum("...adbc->...abcd", M)
+        + 2.0 * np.einsum("...cdab->...abcd", C)
     )
 
 

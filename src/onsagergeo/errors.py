@@ -41,7 +41,14 @@ class NoDivergenceDefined(OnsagerGeoError):
 
 class NearSingular(OnsagerGeoError):
     """The response matrix has extra (near-)kernel directions; the point is
-    effectively on the boundary or the mobility degenerates."""
+    effectively on the boundary or the mobility degenerates.
+
+    `row` is the index of the failing matrix in a (B, n, n) stack, None for
+    a single matrix or when the failure cannot be placed."""
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row
 
 
 class BvpNoConvergence(OnsagerGeoError):

@@ -4,11 +4,14 @@ Everything here lives in the cumulative coordinates x1 = p1, x2 = p1 + p2,
 where the metric is diag(1/theta_1, 1/theta_2) with theta_1 = theta_{12},
 theta_2 = theta_{23}.  K12 denotes the plane numerator <R(d1, d2) d2, d1>;
 the normalized sectional value is K12 * theta_1 * theta_2.
+
+Every route is an elementwise formula over a (B, 3) stack of points; the
+single-point API is the one-row case.
 """
 
 import numpy as np
 
-from .connection import PointGeometry
+from .connection import PointGeometry, row_blocks
 from .curvature import _riemann_assembled
 from .errors import EqualComponents, OnsagerGeoError
 from .mobility import AlphaMean, GeometricMean, KLLogMean, check_interior
@@ -25,24 +28,31 @@ def lattice3_unit_chain():
     return _CHAIN
 
 
-def _partials_route(geo):
-    """General route: cumulative-coordinate partials of log theta taken by
-    exact chain rule from the model's p-partials at the bundle's point, read
-    from its matrix accessors."""
-    T, d1 = geo.model.theta_d1_matrices(geo.chain, geo.p)
-    s_ii, _ = geo.model.d2_matrices(geo.chain, geo.p)
-    t1, t2 = T[0, 1], T[1, 2]
+def _forms(k12, t1, t2):
+    """The rows (K12, R11, R22, S) = (K12, K12 theta_2, K12 theta_1,
+    2 K12 theta_1 theta_2)."""
+    return np.column_stack([k12, k12 * t2, k12 * t1, 2.0 * k12 * t1 * t2])
 
-    d1_log_t1 = (d1[0, 1] - d1[1, 0]) / t1
-    d1_log_t2 = -d1[1, 2] / t2
-    d2_log_t1 = d1[1, 0] / t1
-    d2_log_t2 = (d1[1, 2] - d1[2, 1]) / t2
-    d11_log_t2 = s_ii[1, 2] / t2 - (d1[1, 2] / t2) ** 2
-    d22_log_t1 = s_ii[1, 0] / t1 - (d1[1, 0] / t1) ** 2
+
+def _partials_route(model, p):
+    """General route at each point of a (B, 3) stack: cumulative-coordinate
+    partials of log theta taken by exact chain rule from the model's
+    p-partials, read from its matrix accessors."""
+    chain = lattice3_unit_chain()
+    T, d1 = model.theta_d1_matrices(chain, p)
+    s_ii, _ = model.d2_matrices(chain, p)
+    t1, t2 = T[:, 0, 1], T[:, 1, 2]
+
+    d1_log_t1 = (d1[:, 0, 1] - d1[:, 1, 0]) / t1
+    d1_log_t2 = -d1[:, 1, 2] / t2
+    d2_log_t1 = d1[:, 1, 0] / t1
+    d2_log_t2 = (d1[:, 1, 2] - d1[:, 2, 1]) / t2
+    d11_log_t2 = s_ii[:, 1, 2] / t2 - (d1[:, 1, 2] / t2) ** 2
+    d22_log_t1 = s_ii[:, 1, 0] / t1 - (d1[:, 1, 0] / t1) ** 2
 
     k12 = ((0.5 * d11_log_t2 + 0.25 * (d1_log_t1 - d1_log_t2) * d1_log_t2) / t2
            + (0.5 * d22_log_t1 + 0.25 * (d2_log_t2 - d2_log_t1) * d2_log_t1) / t1)
-    return k12, k12 * t2, k12 * t1, 2.0 * k12 * t1 * t2
+    return _forms(k12, t1, t2)
 
 
 def _scaling_constant(model, chain):
@@ -52,39 +62,47 @@ def _scaling_constant(model, chain):
     return 1.0 / w[0]
 
 
+def _equal_components(p):
+    """The rows of a (B, 3) stack whose adjacent components coincide, where
+    the ratio-mean specialization is singular."""
+    return np.minimum(np.abs(p[:, 0] - p[:, 1]), np.abs(p[:, 1] - p[:, 2])) < 1e-9
+
+
 def _example_divergence_mean(model, p):
-    """The alpha-family/KL specialization: curvature written through f'' and
-    f''' of the scaled ratios.  Singular where adjacent components coincide."""
+    """The alpha-family/KL specialization at each point of a (B, 3) stack:
+    curvature written through f'' and f''' of the scaled ratios.  Not finite
+    on the rows that `_equal_components` marks."""
     chain = lattice3_unit_chain()
-    if min(abs(p[0] - p[1]), abs(p[1] - p[2])) < 1e-9:
-        raise EqualComponents("adjacent components coincide; use the partials route")
     c = _scaling_constant(model, chain)
     T = model.theta_matrix(chain, p)
-    t1, t2 = T[0, 1], T[1, 2]
+    t1, t2 = T[:, 0, 1], T[:, 1, 2]
     f2 = model.f2
     f3 = model.f3
-    z1, z2, z3 = c * p[0], c * p[1], c * p[2]
+    p1, p2, p3 = p.T
+    z1, z2, z3 = c * p1, c * p2, c * p3
 
-    b1 = (1.5 / t1 - 0.5 * f2(z2) ** 2 * t1
-          - (f2(z2) - c * f3(z2) * (p[1] - p[0])))
-    b2 = (1.5 / t2 - 0.5 * f2(z2) ** 2 * t2
-          - (f2(z2) - c * f3(z2) * (p[1] - p[2])))
-    cross = 1.0 / (4.0 * (p[1] - p[0]) * (p[1] - p[2]))
-    k12 = -(b1 / (2.0 * (p[0] - p[1]) ** 2)
-            + b2 / (2.0 * (p[1] - p[2]) ** 2)
-            + cross * (2.0 - (f2(z2) + f2(z3)) * t2) * (f2(z2) - 1.0 / t1)
-            + cross * (2.0 - (f2(z1) + f2(z2)) * t1) * (f2(z2) - 1.0 / t2))
-    return k12, k12 * t2, k12 * t1, 2.0 * k12 * t1 * t2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b1 = (1.5 / t1 - 0.5 * f2(z2) ** 2 * t1
+              - (f2(z2) - c * f3(z2) * (p2 - p1)))
+        b2 = (1.5 / t2 - 0.5 * f2(z2) ** 2 * t2
+              - (f2(z2) - c * f3(z2) * (p2 - p3)))
+        cross = 1.0 / (4.0 * (p2 - p1) * (p2 - p3))
+        k12 = -(b1 / (2.0 * (p1 - p2) ** 2)
+                + b2 / (2.0 * (p2 - p3) ** 2)
+                + cross * (2.0 - (f2(z2) + f2(z3)) * t2) * (f2(z2) - 1.0 / t1)
+                + cross * (2.0 - (f2(z1) + f2(z2)) * t1) * (f2(z2) - 1.0 / t2))
+    return _forms(k12, t1, t2)
 
 
 def _example_geometric_mean(model, p):
-    """The geometric-mean specialization: all four quantities in elementary
-    closed form (negative for every positive exponent)."""
+    """The geometric-mean specialization at each point of a (B, 3) stack: all
+    four quantities in elementary closed form (negative for every positive
+    exponent)."""
     chain = lattice3_unit_chain()
     T = model.theta_matrix(chain, p)
-    t1, t2 = T[0, 1], T[1, 2]
+    t1, t2 = T[:, 0, 1], T[:, 1, 2]
     beta = model.beta
-    p1, p2, p3 = p
+    p1, p2, p3 = p.T
     c_eff = t1 / (p1 * p2) ** beta
 
     a = beta / p2**2 + beta**2 / (2.0 * p1 * p2)
@@ -98,7 +116,17 @@ def _example_geometric_mean(model, p):
         + 0.5 * beta * (p1 ** (beta - 1.0) * p2 ** (beta - 1.0)
                         + p2 ** (beta - 1.0) * p3 ** (beta - 1.0))
     )
-    return k12, r11, r22, s
+    return np.column_stack([k12, r11, r22, s])
+
+
+def _example_route(model, p):
+    """The per-family specialization at each point of a (B, 3) stack, and
+    the mask of the rows where it is singular."""
+    if isinstance(model, GeometricMean):
+        return _example_geometric_mean(model, p), np.zeros(len(p), dtype=bool)
+    if isinstance(model, (KLLogMean, AlphaMean)):
+        return _example_divergence_mean(model, p), _equal_components(p)
+    raise ValueError(f"no specialized closed form for {model.kind!r}")
 
 
 def lattice3_closed_forms(model, p, route="partials"):
@@ -108,21 +136,21 @@ def lattice3_closed_forms(model, p, route="partials"):
     partials of log theta (any mobility model).
     route="example": the per-family specializations (ratio means and the
     geometric mean); raises EqualComponents where those are singular.
+
+    The one-row case of the stacked routes that `lattice3_sweep` evaluates.
     """
     p = check_interior(np.asarray(p, dtype=float))
     if p.shape != (3,):
         raise ValueError("closed forms are for three states")
     if route == "partials":
-        k12, r11, r22, s = _partials_route(PointGeometry(lattice3_unit_chain(), model, p))
+        forms = _partials_route(model, p[None])
     elif route == "example":
-        if isinstance(model, GeometricMean):
-            k12, r11, r22, s = _example_geometric_mean(model, p)
-        elif isinstance(model, (KLLogMean, AlphaMean)):
-            k12, r11, r22, s = _example_divergence_mean(model, p)
-        else:
-            raise ValueError(f"no specialized closed form for {model.kind!r}")
+        forms, singular = _example_route(model, p[None])
+        if singular[0]:
+            raise EqualComponents("adjacent components coincide; use the partials route")
     else:
         raise ValueError(f"unknown route {route!r}")
+    k12, r11, r22, s = forms[0]
     return float(k12), float(r11), float(r22), float(s)
 
 
@@ -135,15 +163,35 @@ _D2 = np.array([0.0, 1.0, -1.0])   # tangent of x2
 
 
 def sweep_grid(resolution):
-    """Interior simplex points on a resolution x resolution parameter grid."""
+    """Interior simplex points on a resolution x resolution parameter grid,
+    (u, (1 - u) v, (1 - u)(1 - v)) with u the outer and v the inner tick."""
     ticks = np.arange(1, resolution + 1) / (resolution + 1.0)
-    points = np.empty((resolution * resolution, 3))
-    k = 0
-    for u in ticks:
-        for v in ticks:
-            points[k] = (u, (1.0 - u) * v, (1.0 - u) * (1.0 - v))
-            k += 1
-    return points
+    u = np.repeat(ticks, resolution)
+    v = np.tile(ticks, resolution)
+    return np.column_stack([u, (1.0 - u) * v, (1.0 - u) * (1.0 - v)])
+
+
+def _sweep_forms(model, p):
+    """The closed forms at each point of a (B, 3) stack: the per-family
+    specialization when the model has one, and the partials route for every
+    other model and on the rows where the specialization is singular."""
+    if not isinstance(model, (GeometricMean, KLLogMean, AlphaMean)):
+        return _partials_route(model, p)
+    forms, singular = _example_route(model, p)
+    if singular.any():
+        forms[singular] = _partials_route(model, p[singular])
+    return forms
+
+
+def _sweep_rows(model, p):
+    """The sweep's columns K12 ... oracle_residual at each point of a (B, 3)
+    stack: the closed forms and their distance from the plane numerator of
+    the assembled tensor, with every point in one bundle."""
+    geo = PointGeometry(lattice3_unit_chain(), model, p)
+    R = geo.R
+    forms = _sweep_forms(model, p)
+    numerator = _riemann_assembled(geo, np.stack([R @ _D1, R @ _D2]))[:, 0, 1, 1, 0]
+    return np.column_stack([forms, np.abs(numerator - forms[:, 0])])
 
 
 def lattice3_sweep(model, resolution):
@@ -152,22 +200,20 @@ def lattice3_sweep(model, resolution):
 
     Uses the per-family specialization when the model has one, and the
     general partials route otherwise and where the specialization is singular
-    (adjacent components equal).  Rows where the library raises are kept and
-    flagged with nan values rather than dropped."""
-    chain = lattice3_unit_chain()
-    example = isinstance(model, (GeometricMean, KLLogMean, AlphaMean))
-    rows = np.empty((resolution * resolution, len(SWEEP_COLUMNS)))
-    for k, p in enumerate(sweep_grid(resolution)):
-        rows[k, :3] = p
+    (adjacent components equal).  The grid points are evaluated as stacks, in
+    the blocks of `connection.row_blocks`.  A block that raises is evaluated
+    again one row at a time, and the rows where the library raises are kept
+    and flagged with nan values rather than dropped."""
+    points = sweep_grid(resolution)
+    rows = np.empty((len(points), len(SWEEP_COLUMNS)))
+    rows[:, :3] = points
+    for block in row_blocks(len(points), lattice3_unit_chain()):
         try:
-            geo = PointGeometry(chain, model, p)
-            try:
-                forms = (lattice3_closed_forms(model, p, route="example") if example
-                         else _partials_route(geo))
-            except EqualComponents:
-                forms = _partials_route(geo)
-            numerator = _riemann_assembled(geo, [geo.R @ _D1, geo.R @ _D2])[0, 1, 1, 0]
-            rows[k, 3:] = (*forms, abs(numerator - forms[0]))
+            rows[block, 3:] = _sweep_rows(model, points[block])
         except OnsagerGeoError:
-            rows[k, 3:] = np.nan
+            for k in range(len(points))[block]:
+                try:
+                    rows[k, 3:] = _sweep_rows(model, points[k:k + 1])
+                except OnsagerGeoError:
+                    rows[k, 3:] = np.nan
     return rows

@@ -57,39 +57,67 @@ def eigensystem(L):
     """The positive eigenpairs of a response matrix whose kernel is the
     constants: the n-1 positive eigenvalues in ascending order and the
     matching orthonormal eigenvectors, the columns of an (n, n-1) array.
+    A (B, n, n) stack of matrices gives (B, n-1) eigenvalues and (B, n, n-1)
+    eigenvectors, each matrix checked on its own.
 
     Eigenvalues below KERNEL_RTOL * lambda_max count as kernel.  Raises
     NearSingular when the eigensolver fails, when L has no positive
     eigenvalue, or when the kernel is not one-dimensional; the last names the
     kernel dimension and lambda_1 / lambda_max, where lambda_1 is the second
     smallest eigenvalue, the smallest positive one when the kernel is right.
+    For a stack the error names the first failing row and carries it as
+    `row`.
     """
+    L = np.asarray(L, dtype=float)
     try:
-        lam, U = np.linalg.eigh(np.asarray(L, dtype=float))
+        lam, U = np.linalg.eigh(L)
     except np.linalg.LinAlgError as exc:
         raise NearSingular(f"response matrix eigensystem failed ({exc})")
-    top = lam[-1]
-    if top <= 0:
-        raise NearSingular(f"response matrix has no positive eigenvalue "
-                           f"(lambda_max {top:.3e})")
-    kernel = int((lam < KERNEL_RTOL * top).sum())
-    if kernel != 1:
+    top = lam[..., -1:]
+    kernel = (lam < KERNEL_RTOL * top).sum(axis=-1)
+    bad = (top[..., 0] <= 0) | (kernel != 1)
+    if bad.any():
+        if L.ndim == 2:
+            row, where = None, "response matrix"
+        else:
+            row = int(np.flatnonzero(bad)[0])
+            where = f"response matrix at stack row {row}"
+            lam, kernel = lam[row], kernel[row]
+        if lam[-1] <= 0:
+            raise NearSingular(f"{where} has no positive eigenvalue "
+                               f"(lambda_max {lam[-1]:.3e})", row=row)
         raise NearSingular(
-            f"response matrix kernel dimension {kernel}, expected 1, with "
-            f"lambda_1 / lambda_max = {lam[1] / top:.3e} "
-            "(point effectively on the boundary or mobility degenerate)"
+            f"{where} has kernel dimension {kernel}, expected 1, "
+            f"with lambda_1 / lambda_max = {lam[1] / lam[-1]:.3e} "
+            "(point effectively on the boundary or mobility degenerate)",
+            row=row,
         )
-    return lam[1:], U[:, 1:]
+    return lam[..., 1:], U[..., 1:]
 
 
 def pseudo_inverse(L):
-    """Moore-Penrose inverse of L(theta) restricted to the mean-zero subspace.
+    """Moore-Penrose inverse of L(theta) restricted to the mean-zero subspace,
+    for one matrix or each matrix of a (B, n, n) stack.
 
     Satisfies L R L = L, R L R = R, R 1 = 0; raises NearSingular when the
     kernel is more than one-dimensional.
     """
     lam, U = eigensystem(L)
-    return (U / lam) @ U.T
+    return (U / lam[..., None, :]) @ U.mT
+
+
+def metric_action(chain, model, states, vectors):
+    """R(theta(p)) v for each row of (rows, n) stacks of points p and vectors
+    v: one stacked `pseudo_inverse` per block of states, each (rows, n, n)
+    temporary holding at most `connection.JACOBIAN_BLOCK` doubles
+    (`connection.state_blocks`)."""
+    from .connection import state_blocks
+
+    out = np.empty(vectors.shape)
+    for rows in state_blocks(len(states), chain.n):
+        R = pseudo_inverse(response_at(chain, model, states[rows]))
+        out[rows] = (R @ vectors[rows, :, None])[..., 0]
+    return out
 
 
 def deflated_solve(L, rhs):
@@ -160,10 +188,7 @@ def arc_length(chain, model, times, states):
     if not (np.diff(times) > 0).all():
         raise ValueError("time grid must be strictly increasing")
     vel = curve_velocity(times, states)
-    speeds = np.empty(len(times))
-    for k, (p, v) in enumerate(zip(states, vel)):
-        R = pseudo_inverse(response_at(chain, model, p))
-        speeds[k] = np.sqrt(max(v @ R @ v, 0.0))
+    speeds = np.sqrt(np.maximum((vel * metric_action(chain, model, states, vel)).sum(axis=-1), 0.0))
     steps = np.diff(times)
     if np.allclose(steps, steps[0], rtol=1e-10, atol=0.0):
         return float(scipy.integrate.simpson(speeds, x=times))

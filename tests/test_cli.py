@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,3 +327,18 @@ def test_validate_reports_success(monkeypatch, capsys):
     code, out, _ = run(capsys, ["validate"])
     assert code == 0
     assert "all criteria passed" in out
+
+
+def test_module_entry_point_runs_the_cli(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"model": {"kind": "kl"}}))
+    argv = ["sweep", "--preset", "lattice3", "--grid", "2", "--config", str(config)]
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "onsagergeo", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "p1,p2,p3,K12,R11,R22,S,oracle_residual"
+    assert len(proc.stdout.splitlines()) == 5
+    assert proc.stdout == run(capsys, argv)[1]

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from onsagergeo import (
     SWEEP_COLUMNS,
@@ -20,7 +20,10 @@ from onsagergeo import (
     riemann,
     sweep_grid,
 )
+from onsagergeo import connection
 from onsagergeo.acceptance import random_interior_point
+from onsagergeo.connection import PointGeometry
+from onsagergeo.curvature import _riemann_assembled
 
 LATTICE = lattice3_chain()
 KL = KLLogMean()
@@ -183,3 +186,86 @@ def test_sweep_uses_the_general_route_for_custom_models():
 def test_sweep_columns_are_stable():
     assert SWEEP_COLUMNS == ("p1", "p2", "p3", "K12", "R11", "R22", "S",
                              "oracle_residual")
+
+
+# -- the sweep as stacked evaluations ---------------------------------------------
+
+SWEEP_MODELS = [GeometricMean(beta=b, c=9.0, convention="scaled") for b in (0.5, 1.0, 2.0)] + [
+    GeometricMean(beta=0.7), KLLogMean(), AlphaMean(-1.0), AlphaMean(0.0), AlphaMean(2.0),
+    CustomMean(lambda chain, p: 9.0 * np.outer(p, p)),
+]
+
+
+def _single_point_row(model, p):
+    """One sweep row from the single-point API: the specialization where the
+    model has one and it is regular, the partials route elsewhere, and the
+    plane numerator of a single-point tensor."""
+    try:
+        route = "partials" if isinstance(model, CustomMean) else "example"
+        forms = np.array(lattice3_closed_forms(model, p, route=route))
+    except EqualComponents:
+        forms = np.array(lattice3_closed_forms(model, p, route="partials"))
+    geo = PointGeometry(LATTICE, model, p)
+    numerator = _riemann_assembled(geo, [geo.R @ D1, geo.R @ D2])[0, 1, 1, 0]
+    return forms, abs(numerator - forms[0])
+
+
+@pytest.mark.parametrize("model", SWEEP_MODELS, ids=lambda m: f"{m.kind}")
+def test_stacked_sweep_matches_the_single_point_routes(model):
+    rows = lattice3_sweep(model, 5)
+    assert np.isfinite(rows).all()
+    for row in rows:
+        forms, residual = _single_point_row(model, row[:3])
+        assert_allclose(row[3:7], forms, rtol=1e-13, atol=0.0)
+        assert abs(row[7] - residual) <= 1e-12 * abs(forms[0])
+    if isinstance(model, KLLogMean):
+        # the rows compared include the p2 == p3 midline, where the sweep
+        # takes the partials route
+        assert (rows[:, 1] == rows[:, 2]).sum() == 5
+
+
+def _degenerate_at(points):
+    """9 p p^T, with edge (1, 2) cut at the given points, where L(theta) has a
+    two-dimensional kernel."""
+    def theta(chain, p):
+        t = 9.0 * np.outer(p, p)
+        if any(np.array_equal(p, q) for q in points):
+            t[0, 1] = t[1, 0] = 0.0
+        return t
+    return CustomMean(theta)
+
+
+def test_sweep_flags_exactly_the_degenerate_rows():
+    grid = sweep_grid(4)
+    chosen = [3, 8, 9]
+    clean = lattice3_sweep(_degenerate_at([]), 4)
+    rows = lattice3_sweep(_degenerate_at(grid[chosen]), 4)
+    flagged = np.flatnonzero(np.isnan(rows[:, 3:]).any(axis=1))
+    assert flagged.tolist() == chosen
+    assert np.isnan(rows[chosen, 3:]).all()
+    assert_array_equal(rows[:, :3], grid)
+    others = np.setdiff1d(np.arange(len(grid)), chosen)
+    assert_array_equal(rows[others], clean[others])
+
+
+class _Counting(GeometricMean):
+    """A geometric mean that counts its model evaluations: theta, D1 and S
+    all start from `_theta_edges`."""
+
+    evaluations = 0
+
+    def _theta_edges(self, chain, p):
+        self.evaluations += 1
+        return super()._theta_edges(chain, p)
+
+
+def test_multi_block_sweep_evaluates_per_block(monkeypatch):
+    models = [_Counting(beta=1.0, c=9.0, convention="scaled"), KLLogMean(), AlphaMean(2.0)]
+    whole = [lattice3_sweep(model, 5) for model in models]
+    per_sweep, models[0].evaluations = models[0].evaluations, 0
+    # blocks of 7 rows: a (rows, 2, E) array on the 3-path holds 4 doubles a row
+    monkeypatch.setattr(connection, "ROW_BLOCK", 7 * 4)
+    assert len(connection.row_blocks(25, LATTICE)) == 4
+    for model, rows in zip(models, whole):
+        assert_array_equal(lattice3_sweep(model, 5), rows)
+    assert models[0].evaluations == 4 * per_sweep < 25

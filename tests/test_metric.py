@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.integrate
 from numpy.testing import assert_allclose
 
 from onsagergeo import (
@@ -27,13 +28,15 @@ from onsagergeo import (
     response_at,
     response_matrix,
 )
+from onsagergeo import connection
 from onsagergeo.acceptance import (
     _scaled_potential,
     random_interior_point,
     random_potential,
     random_reversible_chain,
 )
-from onsagergeo.metric import curve_velocity
+from onsagergeo.connection import PointGeometry
+from onsagergeo.metric import curve_velocity, metric_action
 
 LATTICE = lattice3_chain()
 KL = KLLogMean()
@@ -244,3 +247,78 @@ def test_distance_triangle_inequality():
     assert d_ab <= d_ac + d_bc + 1e-5
     assert d_bc <= d_ab + d_ac + 1e-5
     assert d_ac <= d_ab + d_bc + 1e-5
+
+
+def test_stacked_eigensystem_and_pseudo_inverse_match_each_matrix():
+    rng = np.random.default_rng(24)
+    points = np.array([random_interior_point(rng, 3) for _ in range(6)])
+    L = response_at(LATTICE, KL, points)
+    lam, U = eigensystem(L)
+    R = pseudo_inverse(L)
+    assert lam.shape == (6, 2) and U.shape == (6, 3, 2) and R.shape == (6, 3, 3)
+    for k in range(6):
+        lam_k, U_k = eigensystem(L[k])
+        assert_allclose(lam[k], lam_k, rtol=1e-14)
+        assert_allclose(np.abs(U[k]), np.abs(U_k), atol=1e-14)
+        assert_allclose(R[k], pseudo_inverse(L[k]), atol=1e-14 * np.abs(R[k]).max())
+
+
+def test_stacked_eigensystem_names_the_failing_row():
+    stack = np.repeat(response_matrix(LATTICE, np.where(LATTICE.edge_mask, 1.0, 0.0))[None],
+                      4, axis=0)
+    weak = np.where(LATTICE.edge_mask, 1.0, 0.0)
+    weak[0, 1] = weak[1, 0] = 1e-14
+    stack[2] = response_matrix(LATTICE, weak)
+    with pytest.raises(NearSingular, match="at stack row 2 has kernel dimension 2") as info:
+        eigensystem(stack)
+    assert info.value.row == 2
+    ratio = float(re.search(r"lambda_1 / lambda_max = (\S+) ", str(info.value))[1])
+    assert ratio == pytest.approx(7.5e-15, rel=0.05)
+
+    stack[1] = 0.0
+    with pytest.raises(NearSingular, match="at stack row 1 has no positive eigenvalue"):
+        pseudo_inverse(stack)
+
+
+def test_bundle_metric_error_names_min_p():
+    cut = np.array([0.2, 0.5, 0.3])
+
+    def theta(chain, p):
+        # edge (1, 2) vanishes at `cut`, leaving a two-dimensional kernel
+        t = np.ones((3, 3))
+        if np.array_equal(p, cut):
+            t[0, 1] = t[1, 0] = 0.0
+        return t
+
+    points = np.array([[0.4, 0.3, 0.3], cut, [0.1, 0.6, 0.3]])
+    geo = PointGeometry(LATTICE, CustomMean(theta), points)
+    with pytest.raises(NearSingular, match=r"stack row 1 has kernel dimension 2") as info:
+        geo.R
+    assert str(info.value).endswith("min p 2.000e-01")
+    assert info.value.row == 1
+    with pytest.raises(NearSingular, match=r"kernel dimension 2.*; min p 2.000e-01$"):
+        PointGeometry(LATTICE, CustomMean(theta), cut).R
+
+
+def _per_state_metric(chain, model, states):
+    return [pseudo_inverse(response_at(chain, model, p)) for p in states]
+
+
+@pytest.mark.parametrize("rows_per_block", [None, 1, 3])
+def test_metric_action_matches_the_per_state_loop(monkeypatch, rows_per_block):
+    rng = np.random.default_rng(25)
+    chain = random_reversible_chain(rng, 5)
+    if rows_per_block is not None:
+        monkeypatch.setattr(connection, "JACOBIAN_BLOCK", rows_per_block * 25)
+    times = np.linspace(0.0, 1.0, 11)
+    p0 = random_interior_point(rng, 5, floor=0.05)
+    states = p0 + 0.02 * np.outer(np.sin(3 * times), mean_zero(rng.normal(size=5)))
+    vel = curve_velocity(times, states)
+    for model in (KL, AlphaMean(2.0), GeometricMean(0.7)):
+        metrics = _per_state_metric(chain, model, states)
+        want = np.array([R @ v for R, v in zip(metrics, vel)])
+        assert_allclose(metric_action(chain, model, states, vel), want,
+                        rtol=0.0, atol=1e-13 * np.abs(want).max())
+        speeds = [np.sqrt(max(v @ R @ v, 0.0)) for R, v in zip(metrics, vel)]
+        length = scipy.integrate.simpson(speeds, x=times)
+        assert arc_length(chain, model, times, states) == pytest.approx(length, rel=1e-13)
