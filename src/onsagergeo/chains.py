@@ -49,6 +49,9 @@ class ReversibleChain:
         The 2E ends, flattened as ``edge_ends.ravel()``, ordered by vertex,
         and the first of each vertex in that order; every vertex has an edge,
         so ``np.add.reduceat`` over them sums each vertex's ends.
+    end_edge, end_sign : ndarrays
+        The edge of each end in that vertex order, and the incidence entry
+        there: +1.0 at end i, -1.0 at end j.
     edges : tuple of (int, int)
         Unordered edges as pairs (i, j) with i < j and omega_ij > 0.
     neighbors : tuple of frozenset
@@ -71,6 +74,9 @@ class ReversibleChain:
         self.edge_flat = np.stack([i * n + j, j * n + i])
         self.end_order = np.argsort(self.edge_ends.ravel(), kind="stable")
         self.end_starts = np.searchsorted(self.edge_ends.ravel()[self.end_order], np.arange(n))
+        n_edges = len(i)
+        self.end_edge = self.end_order % n_edges
+        self.end_sign = np.where(self.end_order < n_edges, 1.0, -1.0)
         self.edges = tuple(zip(i.tolist(), j.tolist()))
         others = self.edge_ends[::-1].ravel()[self.end_order]
         self.neighbors = tuple(
@@ -255,8 +261,10 @@ def end_sum(chain, values):
 
 def incidence(chain, x):
     """B x for per-edge values x (..., E): the sum of x over the edges leaving
-    each vertex minus the sum over the edges entering it."""
-    return end_sum(chain, x[..., None, :] * INCIDENCE)
+    each vertex minus the sum over the edges entering it, as one signed,
+    vertex-ordered gather (the terms and their order of `end_sum`)."""
+    return np.add.reduceat(gather(x, chain.end_edge) * chain.end_sign, chain.end_starts,
+                           axis=-1)
 
 
 def edge_matrix(chain, values, fill=0.0):

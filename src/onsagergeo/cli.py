@@ -142,10 +142,11 @@ def build_model(cfg):
 # -- output helpers ------------------------------------------------------------------
 
 def csv_text(header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(x) for x in row))
-    return "\n".join(lines) + "\n"
+    """The header line and one line per row, every value as `fmt` writes
+    it: one %-template per row over Python floats gives the same bytes."""
+    rows = np.asarray(rows, dtype=float)
+    template = ",".join(["%.17g"] * rows.shape[-1])
+    return "\n".join([",".join(header)] + [template % tuple(row.tolist()) for row in rows]) + "\n"
 
 
 def render_json(obj, indent=0):

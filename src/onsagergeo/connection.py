@@ -107,7 +107,8 @@ class PointGeometry:
     def dtheta(self, v):
         """Directional derivative of theta along the vertex vector v, per
         edge: D1_ij v_i + D1_ji v_j."""
-        return (self.d1 * gather(v, self.chain.edge_ends)).sum(axis=-2)
+        ends = self.d1 * gather(v, self.chain.edge_ends)
+        return ends[..., 0, :] + ends[..., 1, :]
 
     def act(self, M, psi):
         """L(M) psi for per-edge values M, with no matrix."""
@@ -256,7 +257,7 @@ def _geodesic_rate(geo, phi):
 
 def _center(v):
     """Shift v (or each column of a 2-D v) to mean zero, in place."""
-    v -= v.mean(axis=0)
+    v -= v.sum(axis=0) / len(v)  # the bits of v.mean(axis=0), with less overhead
 
 
 # Doubles in one stacked temporary of a Jacobian shot, which stacks
@@ -269,10 +270,10 @@ JACOBIAN_BLOCK = 2**20
 ROW_BLOCK = JACOBIAN_BLOCK // 16
 
 
-def row_blocks(count, chain):
+def row_blocks(count, chain, width=1):
     """Slices covering `count` rows on the chain, each holding at most
-    ROW_BLOCK doubles of a (rows, 2, E) array, and one row at least."""
-    step = max(1, ROW_BLOCK // chain.edge_flat.size)
+    ROW_BLOCK doubles of a (width, rows, 2, E) array, and one row at least."""
+    step = max(1, ROW_BLOCK // (width * chain.edge_flat.size))
     return [slice(k, k + step) for k in range(0, count, step)]
 
 
@@ -490,7 +491,11 @@ def _transport_rate(geo, phi, eta):
 
 def _eta_rate(geo, d, v, eta):
     """The transport rate of `_transport_rate` from the driving potential's
-    edge differences d and velocity v = V_phi."""
+    edge differences d and velocity v = V_phi.
+
+    On a stacked bundle of S points, d and v are (S, E) and (S, n), and eta
+    is an (S, n, c) stack, or (1, n, c) for the same columns at every point;
+    the result is (S, n, c)."""
     chain = geo.chain
     L = geo.L
     # W_ij = omega_ij D1_ij (phi_i - phi_j) collects every phi-weighted theta
@@ -502,16 +507,90 @@ def _eta_rate(geo, d, v, eta):
     # bracket is B[omega (V_phi theta dEta - V_x theta d)] + L K eta, with
     # dEta the edge differences of eta (taken one row per column) and L the
     # dense matrix the solve needs anyway.
-    H = eta.T
+    H = np.moveaxis(eta, -1, 0)  # one row per column: (c, n) or (c, S, n)
     dH = edge_difference(chain, H)
-    x = H @ L  # L is symmetric
+    x = _times_L(H, L)
     bracket = (incidence(chain, chain.edge_omega * (geo.dtheta(v) * dH - geo.dtheta(x) * d))
-               + geo.coupling(d, dH) @ L)
-    return -0.5 * deflated_solve(L, bracket.T)
+               + _times_L(geo.coupling(d, dH), L))
+    return -0.5 * deflated_solve(L, np.moveaxis(bracket, 0, -1))
+
+
+def _times_L(H, L):
+    """L h for each row h of H, with L symmetric: H @ L for one matrix; for
+    an (S, n, n) stack, rows (c, S, n) take the matrix of their point."""
+    return H @ L if L.ndim == 2 else (H[..., None, :] @ L)[..., 0, :]
+
+
+# The largest state count whose transports along a geodesic march eta
+# through stage operators (`_transport_by_operators`).  Measured against the
+# joint march (kl, 500 steps, one and two eta columns, sparse and complete
+# chains, median of up to five runs): the operators take 0.46-0.71 of its
+# time at n = 5 and 8 and 0.61-0.96 at n = 10, and 1.02-2.52 times as long
+# from n = 12 on complete chains and n = 16 on sparse ones (one column).
+OPERATOR_MAX_N = 10
+
+# Where the four RK4 stages of a step evaluate, as shares of the step.
+RK4_NODES = (0.0, 0.5, 0.5, 1.0)
+
+
+def _stage_operators(chain, model, times, stages):
+    """The operators A_s with d eta/dt = A_s eta at each recorded stage
+    point [gamma | Phi] of a geodesic march without retaken steps, in
+    order: `_eta_rate` of the n identity columns on a stacked bundle, formed
+    lazily in blocks of `row_blocks` rows (width n)."""
+    n = chain.n
+    identity = np.eye(n)[None]
+    for rows in row_blocks(len(stages), chain, width=n):
+        y = stages[rows]
+        geo = PointGeometry(chain, model, y[:, :n])
+        d = edge_difference(chain, y[:, n:])
+        try:
+            A = _eta_rate(geo, d, geo.flow(d), identity)
+        except NearSingular as exc:
+            if exc.row is None:
+                raise
+            k, node = divmod(rows.start + exc.row, 4)
+            t = times[k] + RK4_NODES[node] * (times[k + 1] - times[k])
+            raise NearSingular(f"{exc}; in the eta operator of the geodesic stage at "
+                               f"t = {t:.6g}") from exc
+        yield from A
+
+
+def _transport_by_operators(chain, model, y0, H, T, dt, cols):
+    """Transport along a geodesic in two phases.  The geodesic y0 =
+    [gamma | Phi] is marched alone, recording every stage point; those are
+    the bits of the joint march, whose geodesic part never reads eta.  Then
+    eta, linear in itself along a fixed geodesic, is marched from the
+    columns H through the stage operators, seen in the shape `cols`.
+
+    Returns the grid, the geodesic table and the eta table; None when the
+    geodesic march retook a step (more than four right-hand sides per step),
+    where the stages no longer follow the steps of a march without a guard."""
+    n = chain.n
+    stages = []
+
+    def f(y):
+        stages.append(y)
+        geo = PointGeometry(chain, model, y[:n])
+        _, v, dphi = _geodesic_terms(geo, y[n:])
+        return np.concatenate([v, dphi])
+
+    times, table = march(f, y0, T, dt, guard=n, project=lambda y: _center(y[n:]))
+    if len(stages) != 4 * (len(times) - 1):
+        return None
+    operators = _stage_operators(chain, model, times, np.array(stages))
+    _, etas = march(lambda u: (next(operators) @ u.reshape(cols)).ravel(), H.ravel(), T, dt,
+                    guard=0, project=lambda u: _center(u.reshape(cols)))
+    return times, table, etas
 
 
 def parallel_transport(chain, model, path, eta0, dt):
     """Transport eta0 (one potential per column if 2-D) along the path.
+
+    Along a GeodesicPath on at most OPERATOR_MAX_N states, the geodesic is
+    marched first and eta then through one operator per RK4 stage
+    (`_transport_by_operators`); on larger chains, and when the geodesic
+    march retook a step, geodesic and eta are marched as one system.
 
     Returns a list of TransportState; the inner products <V_eta, V_eta> are
     invariants of the exact flow.
@@ -529,6 +608,13 @@ def parallel_transport(chain, model, path, eta0, dt):
         return TransportState(float(t), gamma, phi, eta.reshape(cols))
 
     if isinstance(path, GeodesicPath):
+        y0 = np.concatenate([check_interior(path.p0), mean_zero(path.phi0)])
+        if n <= OPERATOR_MAX_N:
+            phases = _transport_by_operators(chain, model, y0, H, path.T, dt, cols)
+            if phases is not None:
+                times, table, etas = phases
+                return [state(t, y[:n], y[n:], eta) for t, y, eta in zip(times, table, etas)]
+
         def f(y):
             geo = PointGeometry(chain, model, y[:n])
             d, v, dphi = _geodesic_terms(geo, y[n:2 * n])
@@ -539,8 +625,8 @@ def parallel_transport(chain, model, path, eta0, dt):
             _center(y[n:2 * n])
             _center(y[2 * n:].reshape(cols))
 
-        y0 = np.concatenate([check_interior(path.p0), mean_zero(path.phi0), H.ravel()])
-        times, table = march(f, y0, path.T, dt, guard=n, project=project)
+        times, table = march(f, np.concatenate([y0, H.ravel()]), path.T, dt, guard=n,
+                             project=project)
         return [state(t, y[:n], y[n:2 * n], y[2 * n:]) for t, y in zip(times, table)]
 
     if isinstance(path, SampledPath):

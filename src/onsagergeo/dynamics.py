@@ -7,7 +7,7 @@ import numpy as np
 import scipy.linalg
 
 from .chains import edge_difference, incidence
-from .errors import StepLeavesSimplex, BoundaryPoint
+from .errors import BoundaryPoint, OnsagerGeoError, StepLeavesSimplex
 from .metric import response_at
 from .mobility import EPS_BOUNDARY, as_simplex_point, check_interior
 
@@ -125,22 +125,30 @@ def march(f, y0, T, dt, guard, project=None):
     interval.  Each step must keep the first `guard` entries of the state at
     or above EPS_BOUNDARY (failing steps are halved); `project`, if given,
     corrects each new state in place.  Returns the grid and the
-    (len(times), len(y0)) table of states."""
+    (len(times), len(y0)) table of states.
+
+    A library error raised in a step, by the step guard or by `f`, is raised
+    again with the step's start time, its size and, when there is a guard,
+    the smallest guarded entry at its start."""
     y = np.array(y0, dtype=float)
     if not np.isfinite(y).all():
         raise ValueError("initial state has a non-finite entry")
     times = _time_grid(T, dt)
-    is_ok = lambda z: bool((z[:guard] >= EPS_BOUNDARY).all())
+    # min() is nan, and the test false, when a guarded entry is nan
+    is_ok = (lambda z: bool(z[:guard].min() >= EPS_BOUNDARY)) if guard else (lambda z: True)
     table = np.empty((len(times), len(y)))
     table[0] = y
     for k in range(1, len(times)):
         step = times[k] - times[k - 1]
         try:
             y = advance_interior(f, y, step, is_ok)
-        except StepLeavesSimplex as exc:
+        except OnsagerGeoError as exc:
+            # the same error, with where the march was: the type and its
+            # fields (a stack `row`) stay
             low = f", smallest guarded entry {y[:guard].min():.3e}" if guard else ""
-            raise StepLeavesSimplex(
-                f"{exc} (t = {times[k - 1]:.6g}, step {step:.6g}{low})") from None
+            error = type(exc)(f"{exc} (t = {times[k - 1]:.6g}, step {step:.6g}{low})")
+            error.__dict__.update(vars(exc))
+            raise error from exc
         if project is not None:
             project(y)
         table[k] = y

@@ -62,10 +62,20 @@ def _scaling_constant(model, chain):
     return 1.0 / w[0]
 
 
+# Adjacent gap |p_i - p_j| below which the ratio-mean specialization is not
+# used: its 1/(p_i - p_j)^2 terms cancel as the gap closes.  From this gap up
+# it meets the partials route to 1e-7 relative (kl and alpha -1, 0, 2, 200
+# random points per gap); the two part by up to 3e-7 at 5.6e-5, 1e-5 at 1e-5
+# and a factor of nine at 1e-8.
+EXAMPLE_MIN_GAP = 1e-4
+
+
 def _equal_components(p):
-    """The rows of a (B, 3) stack whose adjacent components coincide, where
-    the ratio-mean specialization is singular."""
-    return np.minimum(np.abs(p[:, 0] - p[:, 1]), np.abs(p[:, 1] - p[:, 2])) < 1e-9
+    """The rows of a (B, 3) stack whose adjacent components coincide, to
+    within EXAMPLE_MIN_GAP, where the ratio-mean specialization is singular
+    or loses its digits to cancellation."""
+    gap = np.minimum(np.abs(p[:, 0] - p[:, 1]), np.abs(p[:, 1] - p[:, 2]))
+    return gap < EXAMPLE_MIN_GAP
 
 
 def _example_divergence_mean(model, p):
@@ -135,7 +145,9 @@ def lattice3_closed_forms(model, p, route="partials"):
     route="partials": the general formula through cumulative-coordinate
     partials of log theta (any mobility model).
     route="example": the per-family specializations (ratio means and the
-    geometric mean); raises EqualComponents where those are singular.
+    geometric mean); raises EqualComponents where those are singular, for
+    the ratio means wherever adjacent components are closer than
+    EXAMPLE_MIN_GAP.
 
     The one-row case of the stacked routes that `lattice3_sweep` evaluates.
     """
@@ -147,7 +159,8 @@ def lattice3_closed_forms(model, p, route="partials"):
     elif route == "example":
         forms, singular = _example_route(model, p[None])
         if singular[0]:
-            raise EqualComponents("adjacent components coincide; use the partials route")
+            raise EqualComponents("adjacent components coincide (gap below "
+                                  f"{EXAMPLE_MIN_GAP:g}); use the partials route")
     else:
         raise ValueError(f"unknown route {route!r}")
     k12, r11, r22, s = forms[0]

@@ -128,13 +128,28 @@ def deflated_solve(L, rhs):
     leaves the mean-zero subspace untouched, so the deflated matrix is
     positive definite and a Cholesky solve replaces the eigendecomposition
     inside ODE right-hand sides.
+
+    A (B, n, n) stack of matrices takes a (B, n, c) stack of right-hand
+    sides.  LAPACK's `posv` takes one matrix, so a stack is factored by one
+    stacked Cholesky, which checks every matrix, and solved by one stacked
+    LU solve; the error for a matrix that is not positive definite carries
+    its index as `row`.
     """
     L = np.asarray(L, dtype=float)
-    _, x, info = scipy.linalg.lapack.dposv(L + 1.0 / L.shape[0], rhs, overwrite_a=True)
-    if info != 0:
-        raise NearSingular(f"deflated response solve failed (LAPACK posv info {info}: "
-                           "the deflated matrix is not positive definite)")
-    return x
+    if L.ndim == 2:
+        _, x, info = scipy.linalg.lapack.dposv(L + 1.0 / L.shape[0], rhs, overwrite_a=True)
+        if info != 0:
+            raise NearSingular(f"deflated response solve failed (LAPACK posv info {info}: "
+                               "the deflated matrix is not positive definite)")
+        return x
+    M = L + 1.0 / L.shape[-1]
+    try:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        row = next((k for k, m in enumerate(M) if scipy.linalg.lapack.dpotrf(m)[1]), None)
+        raise NearSingular(f"deflated response solve failed at stack row {row} "
+                           "(the deflated matrix is not positive definite)", row=row) from None
+    return np.linalg.solve(M, rhs)
 
 
 def inner_product(chain, theta_mat, phi1, phi2):

@@ -189,15 +189,17 @@ class _DivergenceMean(_RatioMean):
         z, s = self._ratios(chain, p)
         f1v = self.f1(z)
         f2v = self.f2(z)
-        if (f2v <= 0).any():
+        # the ratios of a checked point are finite, so min() decides as any() would
+        if f2v.min() <= 0:
             raise NonconvexF(f"f'' <= 0 at a sampled ratio ({self.kind})")
         ze = gather(z, chain.edge_ends)
         diff = ze[..., 1, :] - ze[..., 0, :]
         f1e = gather(f1v, chain.edge_ends)
         safe = f1e[..., 1, :] - f1e[..., 0, :]
-        near = np.abs(diff) < DELTA_RATIO
-        if not near.any():
+        gap = np.abs(diff)
+        if not gap.min() < DELTA_RATIO:
             return z, s, f2v, diff, safe, None
+        near = gap < DELTA_RATIO
         idx = np.nonzero(near)
         zi, zj = ze[..., 0, :][idx], ze[..., 1, :][idx]
         patch = idx, 0.5 * (zi + zj), 0.5 * (zj - zi)

@@ -342,3 +342,19 @@ def test_module_entry_point_runs_the_cli(tmp_path, capsys):
     assert proc.stdout.splitlines()[0] == "p1,p2,p3,K12,R11,R22,S,oracle_residual"
     assert len(proc.stdout.splitlines()) == 5
     assert proc.stdout == run(capsys, argv)[1]
+
+
+def test_csv_text_writes_the_bytes_of_fmt():
+    rng = np.random.default_rng(92)
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+               1.7976931348623157e308, 1e16, 0.1, -1.0, 123456789.0, 1e-5]
+    rows = np.concatenate([
+        np.array(special * 2).reshape(4, 7),
+        rng.normal(size=(30, 7)) * 10.0 ** rng.integers(-30, 30, size=(30, 7)),
+    ])
+    header = [f"c{i}" for i in range(7)]
+    want = "\n".join([",".join(header)]
+                     + [",".join(cli.fmt(x) for x in row) for row in rows]) + "\n"
+    assert cli.csv_text(header, rows) == want
+    one = rows[:, :1]
+    assert cli.csv_text(["x"], one) == "x\n" + "".join(cli.fmt(x) + "\n" for x in one[:, 0])

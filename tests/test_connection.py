@@ -10,6 +10,7 @@ from onsagergeo import (
     GeodesicPath,
     GeometricMean,
     KLLogMean,
+    NearSingular,
     SampledPath,
     commutator,
     deflated_solve,
@@ -708,3 +709,133 @@ def test_stacked_rows_stay_within_the_block_budget(monkeypatch):
     assert np.array_equal(speeds, rec.speeds)
     for name in ("energy", "dissipation_quadratic", "dissipation_edgesum"):
         assert np.array_equal(getattr(blocked, name), getattr(traj, name))
+
+
+# -- transport through stage operators --------------------------------------------
+
+def _route_spy(monkeypatch):
+    """Record whether each transport took the operator route (True) or fell
+    back to the joint march (False)."""
+    taken = []
+    original = connection._transport_by_operators
+
+    def spy(*args):
+        phases = original(*args)
+        taken.append(phases is not None)
+        return phases
+
+    monkeypatch.setattr(connection, "_transport_by_operators", spy)
+    return taken
+
+
+def _joint_march(monkeypatch, chain, model, path, eta0, dt):
+    with monkeypatch.context() as m:
+        m.setattr(connection, "OPERATOR_MAX_N", 0)
+        return parallel_transport(chain, model, path, eta0, dt)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_operator_route_matches_the_joint_march(monkeypatch, n):
+    rng = np.random.default_rng(80 + n)
+    models = [KLLogMean(), AlphaMean(-1.0), AlphaMean(0.0), AlphaMean(2.0), GeometricMean(0.7)]
+    taken = _route_spy(monkeypatch)
+    for model in models:
+        chain = random_reversible_chain(rng, n)
+        # a random point, and pi, where every edge starts on the Taylor branch
+        for p in (random_interior_point(rng, n, floor=5e-3), chain.pi):
+            phi0 = _scaled_potential(chain, model, p, random_potential(rng, n), speed=0.05)
+            for eta0 in (random_potential(rng, n),
+                         np.column_stack([random_potential(rng, n) for _ in range(2)])):
+                path = GeodesicPath(p, phi0, 0.3)
+                got = parallel_transport(chain, model, path, eta0, 0.01)
+                want = _joint_march(monkeypatch, chain, model, path, eta0, 0.01)
+                assert taken[-1]
+                assert np.array_equal([s.t for s in got], [s.t for s in want])
+                assert np.array_equal([s.gamma for s in got], [s.gamma for s in want])
+                assert np.array_equal([s.phi for s in got], [s.phi for s in want])
+                eta = np.array([s.eta for s in got])
+                assert eta.shape == np.array([s.eta for s in want]).shape
+                assert_allclose(eta, [s.eta for s in want], rtol=0,
+                                atol=1e-12 * abs(eta).max())
+
+
+def test_a_retaken_geodesic_step_takes_the_joint_march(monkeypatch):
+    # the point heads for the boundary: its one step of 0.2 is halved
+    p0 = np.array([1e-3, 0.5, 0.499])
+    phi0 = np.array([-0.0144, 0.0072, 0.0072])
+    eta0 = np.column_stack([[1.0, -0.5, -0.5], [0.0, 1.0, -1.0]])
+    halvings = []
+    advance = dynamics.advance_interior
+
+    def counted(f, y, dt, is_ok, depth=0):
+        if depth:
+            halvings.append(depth)
+        return advance(f, y, dt, is_ok, depth)
+
+    monkeypatch.setattr(dynamics, "advance_interior", counted)
+    taken = _route_spy(monkeypatch)
+    got = parallel_transport(LATTICE, KL, GeodesicPath(p0, phi0, 0.2), eta0, 0.2)
+    assert halvings and taken == [False]
+    want = _joint_march(monkeypatch, LATTICE, KL, GeodesicPath(p0, phi0, 0.2), eta0, 0.2)
+    for a, b in zip(got, want):
+        assert a.t == b.t
+        assert np.array_equal(a.gamma, b.gamma)
+        assert np.array_equal(a.phi, b.phi)
+        assert np.array_equal(a.eta, b.eta)
+
+
+def test_stage_operators_are_formed_in_bounded_blocks(monkeypatch):
+    # forced 3-stage blocks give the bits of one block, and no block holds
+    # more than ROW_BLOCK doubles per (n, rows, 2, E) temporary
+    rng = np.random.default_rng(86)
+    chain, p = _case(rng, 5)
+    phi0 = _scaled_potential(chain, KL, p, random_potential(rng, 5), speed=0.05)
+    eta0 = random_potential(rng, 5)
+    path = GeodesicPath(p, phi0, 0.1)
+    one_block = parallel_transport(chain, KL, path, eta0, 0.01)
+    sizes = []
+    blocks = connection.row_blocks
+
+    def small(count, chain, width=1):
+        out = blocks(count, chain, width)
+        if width > 1:
+            sizes.append(out[0].stop - out[0].start)
+            return [slice(k, k + 3) for k in range(0, count, 3)]
+        return out
+
+    monkeypatch.setattr(connection, "row_blocks", small)
+    got = parallel_transport(chain, KL, path, eta0, 0.01)
+    assert sizes and sizes[0] * 5 * chain.edge_flat.size <= connection.ROW_BLOCK
+    assert np.array_equal([s.eta for s in got], [s.eta for s in one_block])
+
+
+class _FlippedBelow(GeometricMean):
+    """The geometric mean, with theta negated wherever p_0 falls below a
+    threshold: there L(theta) is negative semidefinite."""
+
+    def __init__(self, threshold):
+        super().__init__(0.7)
+        self.threshold = threshold
+
+    def _theta_d1_edges(self, chain, p):
+        t, d1 = super()._theta_d1_edges(chain, p)
+        sign = np.where(p[..., :1] < self.threshold, -1.0, 1.0)
+        return t * sign, d1 * sign[..., None]
+
+
+def test_a_stage_that_is_not_positive_definite_names_its_time():
+    # the geodesic of the plain mean crosses p_0 = 0.3 between two steps;
+    # the first stage past it has a deflated matrix that is not positive
+    # definite, and the error names that stage's time
+    p0 = np.array([0.32, 0.34, 0.34])
+    phi0 = np.array([-0.3, 0.15, 0.15])
+    plain = geodesic_ivp(LATTICE, GeometricMean(0.7), p0, phi0, 1.0, 0.01)
+    k = int(np.argmax(plain.states[:, 0] < 0.3))
+    assert k > 1
+    with pytest.raises(NearSingular) as info:
+        parallel_transport(LATTICE, _FlippedBelow(0.3), GeodesicPath(p0, phi0, 1.0),
+                           np.array([1.0, -0.5, -0.5]), 0.01)
+    message = str(info.value)
+    assert "not positive definite" in message
+    t = float(message.split("of the geodesic stage at t = ")[1].split()[0])
+    assert plain.times[k - 1] < t <= plain.times[k]

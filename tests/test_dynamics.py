@@ -6,6 +6,7 @@ from onsagergeo import (
     AlphaMean,
     Energy,
     KLLogMean,
+    NearSingular,
     StepLeavesSimplex,
     build_reversible_chain,
     dissipation_pair,
@@ -26,7 +27,7 @@ from onsagergeo.acceptance import (
     random_reversible_chain,
 )
 from onsagergeo.chains import grad_matrix
-from onsagergeo.dynamics import _time_grid
+from onsagergeo.dynamics import _time_grid, march
 from onsagergeo.metric import response_matrix
 
 TRIANGLE = triangle_reaction_chain()
@@ -197,3 +198,21 @@ def test_energy_hessian_fallback_matches_analytic_diagonal():
     H = analytic.hessian(p)
     assert_allclose(H, np.diag(np.diag(H)), atol=1e-14)
     assert_allclose(fd.hessian(p), H, rtol=1e-6, atol=1e-8)
+
+
+@pytest.mark.parametrize("guard", [0, 1])
+def test_march_names_the_step_of_an_error_from_the_right_hand_side(guard):
+    # y' = 1 from 0 with dt = 0.1: the first stage past y = 0.52 is the
+    # second stage of the step from t = 0.5
+    def f(y):
+        if y[0] > 0.52:
+            raise NearSingular("response matrix at stack row 3 is singular", row=3)
+        return np.ones(1)
+
+    with pytest.raises(NearSingular) as info:
+        march(f, np.zeros(1), 1.0, 0.1, guard=guard)
+    message = str(info.value)
+    assert message.startswith("response matrix at stack row 3 is singular (t = 0.5, step 0.1")
+    assert ("smallest guarded entry 5.000e-01" in message) == bool(guard)
+    assert info.value.row == 3
+    assert isinstance(info.value.__cause__, NearSingular)

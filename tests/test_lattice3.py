@@ -24,6 +24,7 @@ from onsagergeo import connection
 from onsagergeo.acceptance import random_interior_point
 from onsagergeo.connection import PointGeometry
 from onsagergeo.curvature import _riemann_assembled
+from onsagergeo.lattice3 import EXAMPLE_MIN_GAP, _sweep_forms
 
 LATTICE = lattice3_chain()
 KL = KLLogMean()
@@ -269,3 +270,36 @@ def test_multi_block_sweep_evaluates_per_block(monkeypatch):
     for model, rows in zip(models, whole):
         assert_array_equal(lattice3_sweep(model, 5), rows)
     assert models[0].evaluations == 4 * per_sweep < 25
+
+
+@pytest.mark.parametrize("model", [KLLogMean(), AlphaMean(-1.0), AlphaMean(0.0), AlphaMean(2.0),
+                                   KLLogMean(convention="scaled", c=3.0)],
+                         ids=["kl", "alpha-1", "alpha0", "alpha2", "kl-scaled"])
+def test_example_route_guards_near_equal_components(model):
+    # below the guard the specialization loses its digits to cancellation
+    # (23 % at a gap of 1e-8 for kl); from the guard up it meets the
+    # partials route
+    rng = np.random.default_rng(93)
+    for gap in (1e-8, 1e-7, 1e-6, 1e-5, 5e-5, 9.9e-5, 1e-4, 3e-4, 1e-3):
+        for _ in range(5):
+            a, b = rng.uniform(0.1, 0.8, 2)
+            p = np.array([a, b + gap / 2, b - gap / 2])
+            p = (p if rng.random() < 0.5 else p[::-1]) / (a + 2 * b)
+            partials = np.array(lattice3_closed_forms(model, p, route="partials"))
+            if min(abs(p[0] - p[1]), abs(p[1] - p[2])) < EXAMPLE_MIN_GAP:
+                with pytest.raises(EqualComponents, match="adjacent components coincide"):
+                    lattice3_closed_forms(model, p, route="example")
+                # the sweep takes the partials route there
+                assert_array_equal(_sweep_forms(model, p[None])[0], partials)
+            else:
+                example = np.array(lattice3_closed_forms(model, p, route="example"))
+                assert_allclose(example, partials, rtol=0, atol=2e-7 * abs(partials).max())
+
+
+def test_sweep_grids_have_no_gap_inside_the_guard():
+    # their adjacent gaps are 0 or at least about 1/2500, so the guard
+    # changes no row of a sweep
+    for resolution in (25, 50):
+        p = sweep_grid(resolution)
+        gap = np.minimum(abs(p[:, 0] - p[:, 1]), abs(p[:, 1] - p[:, 2]))
+        assert_array_equal(gap < EXAMPLE_MIN_GAP, gap < 1e-12)

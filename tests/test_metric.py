@@ -322,3 +322,29 @@ def test_metric_action_matches_the_per_state_loop(monkeypatch, rows_per_block):
         speeds = [np.sqrt(max(v @ R @ v, 0.0)) for R, v in zip(metrics, vel)]
         length = scipy.integrate.simpson(speeds, x=times)
         assert arc_length(chain, model, times, states) == pytest.approx(length, rel=1e-13)
+
+
+def test_stacked_deflated_solve_matches_each_matrix():
+    rng = np.random.default_rng(90)
+    for n in (3, 5, 12):
+        chain = random_reversible_chain(rng, n)
+        P = np.array([random_interior_point(rng, n) for _ in range(7)])
+        L = response_at(chain, KL, P)
+        rhs = rng.normal(size=(7, n, 2))
+        rhs -= rhs.mean(axis=1, keepdims=True)
+        got = deflated_solve(L, rhs)
+        assert got.shape == (7, n, 2)
+        for b in range(7):
+            want = deflated_solve(L[b], rhs[b])
+            assert_allclose(got[b], want, rtol=0, atol=1e-13 * abs(want).max())
+
+
+def test_stacked_deflated_solve_names_a_matrix_that_is_not_positive_definite():
+    rng = np.random.default_rng(91)
+    chain = random_reversible_chain(rng, 4)
+    P = np.array([random_interior_point(rng, 4) for _ in range(5)])
+    L = response_at(chain, KL, P)
+    L[3] = -L[3]  # negative semidefinite: the deflated matrix is indefinite
+    with pytest.raises(NearSingular, match="at stack row 3 .*not positive definite") as info:
+        deflated_solve(L, np.zeros((5, 4, 1)))
+    assert info.value.row == 3
