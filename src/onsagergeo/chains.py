@@ -7,7 +7,6 @@ the symmetric edge weights omega_ij = Q_ij * pi_i define the graph.
 """
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DetailedBalanceViolation,
@@ -143,6 +142,9 @@ def build_reversible_chain(Q) -> ReversibleChain:
 
     Raises
     ------
+    ValueError
+        If Q is not square with n >= 2, or has an off-diagonal rate that is
+        not finite or is negative.
     DisconnectedGraph
         If the support of Q + Q^T is not connected.
     DegenerateStationary
@@ -157,6 +159,10 @@ def build_reversible_chain(Q) -> ReversibleChain:
     if n < 2:
         raise ValueError("need at least two states")
     np.fill_diagonal(Q, 0.0)
+    bad = ~np.isfinite(Q)
+    if bad.any():
+        listed = ", ".join(f"Q[{i}, {j}] = {Q[i, j]}" for i, j in zip(*np.nonzero(bad)))
+        raise ValueError(f"rates must be finite: {listed}")
     if (Q < 0).any():
         raise ValueError("off-diagonal rates must be nonnegative")
 
@@ -166,7 +172,7 @@ def build_reversible_chain(Q) -> ReversibleChain:
 
     # stationary distribution: null space of the transposed generator
     A = Q.T - np.diag(Q.sum(axis=1))  # dp/dt = A p
-    ns = scipy.linalg.null_space(A)
+    ns = null_space(A)
     if ns.shape[1] != 1:
         raise DegenerateStationary(
             f"stationary distribution is not unique (kernel dim {ns.shape[1]})"
@@ -184,6 +190,21 @@ def build_reversible_chain(Q) -> ReversibleChain:
         )
     omega = 0.5 * (omega + omega.T)  # kill round-off asymmetry
     return ReversibleChain(Q, pi, omega)
+
+
+def null_space(A):
+    """Orthonormal basis of the null space of a matrix A, as the columns of
+    an (N, K) array: the right singular vectors whose singular values are at
+    most s_max * eps * max(A.shape).
+
+    The same SVD (LAPACK gesdd), tolerance and memory layout as
+    `scipy.linalg.null_space`, so the basis matches it bit for bit; the
+    layout matters because products with the basis round by its strides.
+    """
+    A = np.asarray(A, dtype=float)
+    _, s, vh = np.linalg.svd(A)
+    tol = s.max(initial=0.0) * (np.finfo(float).eps * max(A.shape))
+    return np.asfortranarray(vh)[int((s > tol).sum()):].T
 
 
 def chain_from_rates(n, rates) -> ReversibleChain:

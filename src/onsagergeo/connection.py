@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .chains import (
     edge_difference,
@@ -15,6 +14,7 @@ from .chains import (
     gather,
     grad_matrix,
     incidence,
+    null_space,
 )
 from .dynamics import Energy, march
 from .errors import BvpNoConvergence, NearSingular, OnsagerGeoError
@@ -331,7 +331,7 @@ def geodesic_ivp(chain, model, p0, phi0, T, dt) -> GeodesicRecord:
 
 
 def _mean_zero_basis(n):
-    return scipy.linalg.null_space(np.ones((1, n)))  # (n, n-1), orthonormal
+    return null_space(np.ones((1, n)))  # (n, n-1), orthonormal
 
 
 def _jacobian_width(n):

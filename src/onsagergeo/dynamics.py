@@ -4,7 +4,6 @@ gradients of energies, and dissipation bookkeeping."""
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .chains import edge_difference, incidence
 from .errors import BoundaryPoint, OnsagerGeoError, StepLeavesSimplex
@@ -61,6 +60,8 @@ def master_rhs(chain, p):
 def master_exact(chain, p0, t):
     """Exact master-equation solution via the generator matrix exponential
     (test oracle for the integrator)."""
+    import scipy.linalg  # numpy has no matrix exponential; loaded on first use
+
     return scipy.linalg.expm(t * chain.flow_matrix()) @ np.asarray(p0, dtype=float)
 
 

@@ -2,8 +2,6 @@
 products, orthonormal frames, arc length, and geodesic distance."""
 
 import numpy as np
-import scipy.integrate
-import scipy.linalg
 
 from .chains import edge_matrix, grad_matrix
 from .errors import NearSingular
@@ -137,6 +135,10 @@ def deflated_solve(L, rhs):
     """
     L = np.asarray(L, dtype=float)
     if L.ndim == 2:
+        # numpy has no Cholesky solve, and its LU solve would not check that
+        # the matrix is positive definite; loaded on first use
+        import scipy.linalg
+
         _, x, info = scipy.linalg.lapack.dposv(L + 1.0 / L.shape[0], rhs, overwrite_a=True)
         if info != 0:
             raise NearSingular(f"deflated response solve failed (LAPACK posv info {info}: "
@@ -146,10 +148,18 @@ def deflated_solve(L, rhs):
     try:
         np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
-        row = next((k for k, m in enumerate(M) if scipy.linalg.lapack.dpotrf(m)[1]), None)
+        row = next((k for k, m in enumerate(M) if not _positive_definite(m)), None)
         raise NearSingular(f"deflated response solve failed at stack row {row} "
                            "(the deflated matrix is not positive definite)", row=row) from None
     return np.linalg.solve(M, rhs)
+
+
+def _positive_definite(M):
+    try:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def inner_product(chain, theta_mat, phi1, phi2):
@@ -206,6 +216,8 @@ def arc_length(chain, model, times, states):
     speeds = np.sqrt(np.maximum((vel * metric_action(chain, model, states, vel)).sum(axis=-1), 0.0))
     steps = np.diff(times)
     if np.allclose(steps, steps[0], rtol=1e-10, atol=0.0):
+        import scipy.integrate  # numpy has no Simpson's rule; loaded on first use
+
         return float(scipy.integrate.simpson(speeds, x=times))
     return float(np.trapezoid(speeds, times))
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from onsagergeo import (
@@ -17,7 +18,7 @@ from onsagergeo import (
     triangle_reaction_chain,
 )
 from onsagergeo.acceptance import random_reversible_chain
-from onsagergeo.chains import edge_difference, edge_matrix, end_sum, incidence
+from onsagergeo.chains import edge_difference, edge_matrix, end_sum, incidence, null_space
 
 
 def test_triangle_reaction_stationary_state():
@@ -189,3 +190,31 @@ def test_edge_arrays_match_the_pair_loops():
         assert (M[:, ~chain.edge_mask] == 0.0).all()
         sym = edge_matrix(chain, x[0][None])
         assert np.array_equal(sym, sym.T) and np.array_equal(sym[i, j], x[0])
+
+
+@pytest.mark.parametrize("rate", [np.nan, np.inf])
+def test_non_finite_rates_rejected(rate):
+    Q = triangle_reaction_chain().Q.copy()
+    Q[1, 2] = rate
+    with pytest.raises(ValueError, match=rf"rates must be finite: Q\[1, 2\] = {rate}"):
+        build_reversible_chain(Q)
+
+
+def _null_space_cases():
+    rng = np.random.default_rng(13)
+    cases = [np.ones((1, n)) for n in range(2, 13)]
+    for n in range(2, 13):
+        Q = random_reversible_chain(rng, n).Q
+        cases.append(Q.T - np.diag(Q.sum(axis=1)))
+    # kernels of dimension above one, and none at all
+    cases += [rng.normal(size=shape) for shape in [(1, 3), (2, 5), (3, 7), (4, 4), (6, 3)]]
+    return cases
+
+
+def test_null_space_matches_scipy_bit_for_bit():
+    for A in _null_space_cases():
+        want = scipy.linalg.null_space(A)
+        got = null_space(A)
+        assert got.shape == want.shape
+        assert got.strides == want.strides
+        assert got.tobytes() == want.tobytes()

@@ -358,3 +358,58 @@ def test_csv_text_writes_the_bytes_of_fmt():
     assert cli.csv_text(header, rows) == want
     one = rows[:, :1]
     assert cli.csv_text(["x"], one) == "x\n" + "".join(cli.fmt(x) + "\n" for x in one[:, 0])
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+def test_non_finite_rates_are_config_errors(tmp_path, capsys, rate):
+    cfg = {"chain": {"n": 3, "rates": LATTICE_RATES[:3] + [[3, 2, rate]]},
+           "model": {"kind": "kl"}, "point": [0.5, 0.3, 0.2]}
+    code, out, err = run(capsys, ["analyze"], tmp_path, cfg)
+    assert code == 1
+    assert out == ""
+    assert f"config error: config key 'chain.rates': rates must be finite: Q[2, 1] = {rate}" in err
+
+
+NO_SCIPY_SCRIPT = """
+import json, sys
+from pathlib import Path
+
+import onsagergeo.cli
+
+tmp = Path(sys.argv[1])
+runs = [
+    (["simulate", "--preset", "triangle-reaction"],
+     {"model": {"kind": "kl"}, "p0": [0.7, 0.2, 0.1], "T": 0.1, "dt": 0.01}),
+    (["geodesic", "--preset", "lattice3"],
+     {"model": {"kind": "kl"}, "p0": [1 / 3, 1 / 3, 1 / 3], "phi0": [0.05, 0.0, -0.05]}),
+    (["geodesic", "--preset", "lattice3"],
+     {"model": {"kind": "kl"}, "p0": [1 / 3, 1 / 3, 1 / 3], "p1": [0.5, 0.3, 0.2]}),
+    (["transport", "--preset", "triangle-reaction"],
+     {"model": {"kind": "kl"}, "p0": [1 / 3, 1 / 3, 1 / 3], "phi0": [0.05, 0.0, -0.05],
+      "eta0": [1.0, 0.0, -1.0], "dt": 0.01}),
+    (["analyze", "--preset", "lattice3"],
+     {"model": {"kind": "geometric", "beta": 1.0, "c": 9.0, "convention": "scaled"},
+      "point": [1 / 3, 1 / 3, 1 / 3]}),
+    (["sweep", "--preset", "lattice3", "--grid", "2"], {"model": {"kind": "kl"}}),
+]
+loaded = {"import": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}
+for k, (argv, cfg) in enumerate(runs):
+    path = tmp / f"run{k}.json"
+    path.write_text(json.dumps(cfg))
+    code = onsagergeo.cli.main(argv + ["--config", str(path), "--out", str(tmp / f"run{k}.out")])
+    assert code == 0, (argv, code)
+    loaded[f"{k}: {' '.join(argv)}"] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps(loaded))
+"""
+
+
+def test_commands_load_no_scipy(tmp_path):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert len(loaded) == 7
+    assert all(modules == [] for modules in loaded.values()), loaded
