@@ -51,6 +51,16 @@ class ReversibleChain:
     end_edge, end_sign : ndarrays
         The edge of each end in that vertex order, and the incidence entry
         there: +1.0 at end i, -1.0 at end j.
+    end_source, end_source_sign : (2, 2E) ndarrays
+        Two sums over each vertex's ends from one gather
+        (`PointGeometry.geodesic_rate`).  `end_source` takes a per-edge
+        array x (E,) and a two-ended one y (2, E), laid end to end as
+        [x | y] with y flattened, to the ends in vertex order: row 0 reads x
+        at each end's edge, row 1 reads y at the end itself.
+        `end_source_sign` is the sign of each read value in its sum: the
+        incidence entry `end_sign` in row 0, +1.0 in row 1.
+    source_omega : (3E,) ndarray
+        omega_ij at each entry of [x | y].
     edges : tuple of (int, int)
         Unordered edges as pairs (i, j) with i < j and omega_ij > 0.
     neighbors : tuple of frozenset
@@ -76,6 +86,9 @@ class ReversibleChain:
         n_edges = len(i)
         self.end_edge = self.end_order % n_edges
         self.end_sign = np.where(self.end_order < n_edges, 1.0, -1.0)
+        self.end_source = np.stack([self.end_edge, n_edges + self.end_order])
+        self.end_source_sign = np.stack([self.end_sign, np.ones(2 * n_edges)])
+        self.source_omega = np.tile(self.edge_omega, 3)
         self.edges = tuple(zip(i.tolist(), j.tolist()))
         others = self.edge_ends[::-1].ravel()[self.end_order]
         self.neighbors = tuple(
@@ -262,8 +275,9 @@ INCIDENCE = np.array([[1.0], [-1.0]])
 
 def gather(values, index):
     """values[..., index], a gather along the last axis; a flat array takes
-    plain indexing, the fastest gather for one vector."""
-    return values[index] if values.ndim == 1 else np.take(values, index, axis=-1)
+    plain indexing, the fastest gather for one vector, and a stack the
+    array's own `take` (`np.take` adds a Python call)."""
+    return values[index] if values.ndim == 1 else values.take(index, axis=-1)
 
 
 def edge_difference(chain, phi):

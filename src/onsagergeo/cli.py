@@ -241,6 +241,11 @@ def cmd_geodesic(args):
     p0 = get_point(cfg, "p0", chain.n)
     if "p1" in cfg and "phi0" in cfg:
         raise ConfigError("give either 'phi0' (initial value) or 'p1' (two-point), not both")
+    # each mode's own keys: a two-point geodesic always runs on [0, 1]
+    mixed = [k for k in (("T", "dt") if "p1" in cfg else ("nsteps",)) if k in cfg]
+    if mixed:
+        mode = "an initial-value ('phi0')" if "p1" in cfg else "a two-point ('p1')"
+        raise ConfigError(f"config key '{mixed[0]}' belongs to {mode} geodesic")
     if "p1" in cfg:
         p1 = get_point(cfg, "p1", chain.n)
         nsteps = cfg.get("nsteps", 100)

@@ -48,7 +48,8 @@ class PointGeometry:
     first partials D1 at p, from one model evaluation, as arrays over the
     chain's edges: theta of shape (E,) and D1 of shape (2, E), the partial by
     p_i at end i and by p_j at end j.  The dense L(theta), the metric
-    R = L^+ and the second partials (S_ii, S_ij) are computed on first use.
+    R = L^+, the second partials (S_ii, S_ij) and the edge weights
+    `conductance` and `omega_d1` are computed on first use.
 
     Potentials passed to the methods are float arrays of length n, or stacks
     of them of shape (..., n); a method taking two potentials broadcasts
@@ -68,8 +69,16 @@ class PointGeometry:
         self.model = model
         self.p = np.asarray(p, dtype=float)
         self.theta, self.d1 = model.theta_d1_edges(chain, self.p)
-        # omega_ij theta_ij: L(theta) = B diag(conductance) B^T
-        self.conductance = chain.edge_omega * self.theta
+
+    @cached_property
+    def conductance(self):
+        """omega_ij theta_ij: L(theta) = B diag(conductance) B^T."""
+        return self.chain.edge_omega * self.theta
+
+    @cached_property
+    def omega_d1(self):
+        """omega_ij D1 at both ends, the weight of every Gamma sum."""
+        return self.chain.edge_omega * self.d1
 
     @cached_property
     def L(self):
@@ -86,11 +95,6 @@ class PointGeometry:
             raise NearSingular(f"{exc}; min p {p.min():.3e}", row=exc.row) from exc
 
     @cached_property
-    def omega_d1(self):
-        """omega_ij D1 at both ends, the weight of every Gamma sum."""
-        return self.chain.edge_omega * self.d1
-
-    @cached_property
     def d2(self):
         """(S_ii, S_ij) on the edges, as model.d2_edges."""
         return self.model.d2_edges(self.chain, self.p)
@@ -103,6 +107,34 @@ class PointGeometry:
     def flow(self, d):
         """B (conductance d): V_phi from d = edge_difference(phi)."""
         return incidence(self.chain, self.conductance * d)
+
+    def geodesic_rate(self, phi):
+        """Phi's edge differences d and the geodesic rate
+        [dgamma/dt | dPhi/dt] = [L(theta) Phi | -1/2 Gamma(Phi, Phi)] as one
+        (2, n) array, or (2, B, n) on a stack of B points with one potential
+        each: its ravel is the layout [points | potentials] of the march's
+        state.
+
+        Both halves are sums over each vertex's edge ends, of conductance d
+        with the incidence sign (`flow`) and of d d omega D1 (`coupling`).
+        Their terms are formed per edge as [omega theta d | omega D1 d d],
+        taken to the ends in vertex order by one signed gather (two rows),
+        and summed by one `reduceat` straight into that layout: the terms,
+        the order and the bits of `flow` and `coupling` (a sign changes no
+        rounding, and -1/2 scales the sums as `gamma`'s callers do)."""
+        chain = self.chain
+        lead = self.theta.shape[:-1]
+        d = edge_difference(chain, phi)
+        dd = d * d
+        terms = np.concatenate((self.theta, self.d1.reshape(lead + (-1,))), axis=-1)
+        terms *= chain.source_omega
+        terms *= np.concatenate((d, dd, dd), axis=-1)
+        terms = gather(terms, chain.end_source)
+        terms *= chain.end_source_sign
+        rate = np.empty((2,) + lead + (chain.n,))
+        np.add.reduceat(terms, chain.end_starts, axis=-1, out=rate.swapaxes(0, -2))
+        rate[1] *= -0.5
+        return d, rate
 
     def dtheta(self, v):
         """Directional derivative of theta along the vertex vector v, per
@@ -242,19 +274,6 @@ class GeodesicRecord:
         return self.states[-1]
 
 
-def _geodesic_terms(geo, phi):
-    """Phi's edge differences d and the geodesic rate taken from them:
-    (d, dgamma/dt, dPhi/dt) = (d, L(theta) Phi, -1/2 Gamma(Phi, Phi)) at the
-    bundle's point (or points)."""
-    d = edge_difference(geo.chain, phi)
-    return d, geo.flow(d), -0.5 * geo.coupling(d, d)
-
-
-def _geodesic_rate(geo, phi):
-    """(dgamma/dt, dPhi/dt) = (L(theta) Phi, -1/2 Gamma(Phi, Phi))."""
-    return _geodesic_terms(geo, phi)[1:]
-
-
 def _center(v):
     """Shift v (or each column of a 2-D v) to mean zero, in place."""
     v -= v.sum(axis=0) / len(v)  # the bits of v.mean(axis=0), with less overhead
@@ -319,8 +338,8 @@ def geodesic_ivp(chain, model, p0, phi0, T, dt) -> GeodesicRecord:
     y0 = np.concatenate([p0.ravel(), phi0.ravel()])
 
     def f(y):
-        geo = PointGeometry(chain, model, y[:size].reshape(shape))
-        return np.concatenate([r.ravel() for r in _geodesic_rate(geo, y[size:].reshape(shape))])
+        p, phi = y.reshape((2,) + shape)
+        return PointGeometry(chain, model, p).geodesic_rate(phi)[1].ravel()
 
     # the transposed view puts each geodesic's potential in a column
     project = lambda y: _center(y[size:].reshape(-1, n).T)
@@ -571,9 +590,8 @@ def _transport_by_operators(chain, model, y0, H, T, dt, cols):
 
     def f(y):
         stages.append(y)
-        geo = PointGeometry(chain, model, y[:n])
-        _, v, dphi = _geodesic_terms(geo, y[n:])
-        return np.concatenate([v, dphi])
+        p, phi = y.reshape(2, n)
+        return PointGeometry(chain, model, p).geodesic_rate(phi)[1].ravel()
 
     times, table = march(f, y0, T, dt, guard=n, project=lambda y: _center(y[n:]))
     if len(stages) != 4 * (len(times) - 1):
@@ -617,9 +635,9 @@ def parallel_transport(chain, model, path, eta0, dt):
 
         def f(y):
             geo = PointGeometry(chain, model, y[:n])
-            d, v, dphi = _geodesic_terms(geo, y[n:2 * n])
-            deta = _eta_rate(geo, d, v, y[2 * n:].reshape(cols))
-            return np.concatenate([v, dphi, deta.ravel()])
+            d, rate = geo.geodesic_rate(y[n:2 * n])
+            deta = _eta_rate(geo, d, rate[0], y[2 * n:].reshape(cols))
+            return np.concatenate([rate.ravel(), deta.ravel()])
 
         def project(y):
             _center(y[n:2 * n])

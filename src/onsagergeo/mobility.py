@@ -19,6 +19,8 @@ Models evaluate theta and its partials on the chain's edges (see
 The matrix accessors scatter those arrays to (..., n, n).
 """
 
+import numbers
+
 import numpy as np
 
 from .chains import INCIDENCE, edge_matrix, gather
@@ -38,12 +40,24 @@ H2 = 1e-4             # FD step for second partials (Custom models)
 def check_interior(p, eps=EPS_BOUNDARY):
     """Return p as an array, raising BoundaryPoint unless every entry is finite and >= eps."""
     p = np.asarray(p, dtype=float)
-    # p.min() is nan when an entry is nan, p.sum() is inf when an entry is +inf
-    if not (p.min() >= eps and p.sum() < np.inf):
+    # the minimum is nan when an entry is nan, the sum is inf when an entry is
+    # +inf (the ufuncs' own reductions: `p.min()` adds a Python call)
+    if not (np.minimum.reduce(p, None) >= eps and np.add.reduce(p, None) < np.inf):
         if not np.isfinite(p).all():
             raise BoundaryPoint(f"point has a non-finite entry ({p})")
         raise BoundaryPoint(f"point touches the simplex boundary (min entry {p.min():.3e})")
     return p
+
+
+def model_parameter(name, value):
+    """A model parameter as a float, raising ValueError unless it is a finite
+    real number: a bool, a string or a non-finite value is rejected."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ValueError(f"model parameter {name!r} must be a number, got {value!r}")
+    value = float(value)
+    if not np.isfinite(value):
+        raise ValueError(f"model parameter {name!r} must be finite, got {value!r}")
+    return value
 
 
 def as_simplex_point(p, eps=EPS_BOUNDARY):
@@ -134,6 +148,8 @@ class _RatioMean(MobilityModel):
     def __init__(self, convention="pi", c=None):
         if convention not in ("pi", "scaled"):
             raise ValueError(f"unknown convention {convention!r}")
+        if c is not None:
+            c = model_parameter("c", c)
         if convention == "scaled":
             if c is None or c <= 0:
                 raise ValueError("scaled convention requires c > 0")
@@ -149,6 +165,18 @@ class _RatioMean(MobilityModel):
     def _ratios(self, chain, p):
         w = self._weights(chain)
         return p / w, 1.0 / w  # z and s = dz/dp
+
+    _scaled_chain = None  # the chain whose constants `_rescale` keeps
+
+    def _rescale(self, chain):
+        """Keep the constants of the chain: the reference weights w, (n,),
+        and s = 1/w at the edge ends, unsigned and signed by INCIDENCE,
+        (2, E).  They are computed on the chain's first evaluation and kept
+        until another chain is evaluated."""
+        self._w = self._weights(chain)
+        self._s_ends = (1.0 / self._w)[chain.edge_ends]
+        self._signed_s_ends = self._s_ends * INCIDENCE
+        self._scaled_chain = chain
 
 
 class _DivergenceMean(_RatioMean):
@@ -185,25 +213,28 @@ class _DivergenceMean(_RatioMean):
         and gathered to the edge ends.  `patch` holds the indices and the
         midpoint data of the edges in the Taylor regime, or None when there
         are none (the usual case); `safe` is f'(z_j) - f'(z_i), one on those
-        edges."""
-        z, s = self._ratios(chain, p)
+        edges.  It keeps the chain's constants (`_rescale`) for the callers."""
+        if self._scaled_chain is not chain:
+            self._rescale(chain)
+        z = p / self._w
         f1v = self.f1(z)
         f2v = self.f2(z)
-        # the ratios of a checked point are finite, so min() decides as any() would
-        if f2v.min() <= 0:
+        # the ratios of a checked point are finite, so the minimum decides as
+        # any() would
+        if np.minimum.reduce(f2v, None) <= 0:
             raise NonconvexF(f"f'' <= 0 at a sampled ratio ({self.kind})")
         ze = gather(z, chain.edge_ends)
         diff = ze[..., 1, :] - ze[..., 0, :]
         f1e = gather(f1v, chain.edge_ends)
         safe = f1e[..., 1, :] - f1e[..., 0, :]
         gap = np.abs(diff)
-        if not gap.min() < DELTA_RATIO:
-            return z, s, f2v, diff, safe, None
+        if not np.minimum.reduce(gap, None) < DELTA_RATIO:
+            return z, f2v, diff, safe, None
         near = gap < DELTA_RATIO
         idx = np.nonzero(near)
         zi, zj = ze[..., 0, :][idx], ze[..., 1, :][idx]
         patch = idx, 0.5 * (zi + zj), 0.5 * (zj - zi)
-        return z, s, f2v, diff, np.where(near, 1.0, safe), patch
+        return z, f2v, diff, np.where(near, 1.0, safe), patch
 
     def _taylor_theta(self, mid, half):
         """Two-term Taylor expansion of theta about the midpoint ratio."""
@@ -220,7 +251,7 @@ class _DivergenceMean(_RatioMean):
     # overwrites those.  At end a of an edge with other end b the quotients
     # divide by f'(z_b) - f'(z_a), which is safe at end i and -safe at end j.
     def _theta_edges(self, chain, p):
-        z, s, f2v, diff, safe, patch = self._branching(chain, p)
+        z, f2v, diff, safe, patch = self._branching(chain, p)
         t = diff / safe
         if patch is not None:
             idx, mid, half = patch
@@ -228,20 +259,25 @@ class _DivergenceMean(_RatioMean):
         return t
 
     def _theta_d1_edges(self, chain, p):
-        """theta and D1 from one branching pass."""
-        z, s, f2v, diff, safe, patch = self._branching(chain, p)
-        ends = chain.edge_ends
+        """theta and D1 from one branching pass.  D1 divides by safe at both
+        ends and takes the sign of end j with the ratio scale s (x / -safe
+        times s is x / safe times -s, bit for bit), so the Taylor value at
+        end j enters negated."""
+        z, f2v, diff, safe, patch = self._branching(chain, p)
         t = diff / safe
-        d = (t[..., None, :] * gather(f2v, ends) - 1.0) / (safe[..., None, :] * INCIDENCE)
+        d = t[..., None, :] * gather(f2v, chain.edge_ends)
+        d -= 1.0
+        d /= safe[..., None, :]
         if patch is not None:
             idx, mid, half = patch
             t[idx] = self._taylor_theta(mid, half)
             d[..., 0, :][idx] = self._taylor_d1(mid, half)
-            d[..., 1, :][idx] = self._taylor_d1(mid, -half)
-        return t, d * s[ends]
+            d[..., 1, :][idx] = -self._taylor_d1(mid, -half)
+        d *= self._signed_s_ends
+        return t, d
 
     def _d2_edges(self, chain, p):
-        z, s, f2v, diff, safe, patch = self._branching(chain, p)
+        z, f2v, diff, safe, patch = self._branching(chain, p)
         ends = chain.edge_ends
         t = diff / safe
         f2e = gather(f2v, ends)
@@ -260,7 +296,7 @@ class _DivergenceMean(_RatioMean):
             s_ii[..., 0, :][idx] = even - f4m / (3.0 * f2m**2) + half * odd
             s_ii[..., 1, :][idx] = even - f4m / (3.0 * f2m**2) - half * odd
             s_ij[idx] = even - f4m / (6.0 * f2m**2)
-        se = s[ends]
+        se = self._s_ends
         return s_ii * se**2, s_ij * se[0] * se[1]
 
     # divergence D_f(p || reference) = sum_i w_i f(z_i) ----------------------
@@ -312,10 +348,11 @@ class AlphaMean(_DivergenceMean):
     kind = "alpha-mean"
 
     def __init__(self, alpha, convention="pi", c=None):
+        alpha = model_parameter("alpha", alpha)
         if alpha == 1:
             raise ValueError("alpha = 1 is excluded; use KLLogMean instead")
         super().__init__(convention, c)
-        self.alpha = float(alpha)
+        self.alpha = alpha
 
     def f0(self, z):
         a = self.alpha
@@ -357,7 +394,7 @@ class GeometricMean(_RatioMean):
 
     def __init__(self, beta=0.5, c=1.0, convention="pi"):
         super().__init__(convention, c)
-        self.beta = float(beta)
+        self.beta = model_parameter("beta", beta)
 
     def _theta_edges(self, chain, p):
         if self.convention == "scaled":

@@ -413,3 +413,47 @@ def test_commands_load_no_scipy(tmp_path):
     loaded = json.loads(proc.stdout)
     assert len(loaded) == 7
     assert all(modules == [] for modules in loaded.values()), loaded
+
+
+BAD_MODELS = [
+    ({"kind": "alpha", "alpha": float("nan")}, "model parameter 'alpha' must be finite, got nan"),
+    ({"kind": "alpha", "alpha": float("inf")}, "model parameter 'alpha' must be finite, got inf"),
+    ({"kind": "alpha", "alpha": "2"}, "model parameter 'alpha' must be a number, got '2'"),
+    ({"kind": "geometric", "beta": float("nan")}, "model parameter 'beta' must be finite, got nan"),
+    ({"kind": "geometric", "beta": True}, "model parameter 'beta' must be a number, got True"),
+    ({"kind": "kl", "convention": "scaled", "c": float("nan")},
+     "model parameter 'c' must be finite, got nan"),
+    ({"kind": "kl", "convention": "scaled", "c": float("inf")},
+     "model parameter 'c' must be finite, got inf"),
+]
+
+
+@pytest.mark.parametrize("command", ["analyze", "geodesic"])
+@pytest.mark.parametrize("model,message", BAD_MODELS,
+                         ids=["alpha-nan", "alpha-inf", "alpha-string", "beta-nan",
+                              "beta-bool", "c-nan", "c-inf"])
+def test_invalid_model_parameters_are_config_errors(tmp_path, capsys, command, model, message):
+    # json reads NaN and Infinity; the model is refused before any arithmetic,
+    # so no numpy warning reaches stderr either
+    point = {"analyze": {"point": [0.5, 0.3, 0.2]},
+             "geodesic": {"p0": [0.5, 0.3, 0.2], "phi0": [0.1, 0.0, -0.1]}}[command]
+    code, out, err = run(capsys, [command, "--preset", "lattice3"], tmp_path,
+                         dict(point, model=model))
+    assert code == 1
+    assert out == ""
+    assert err.strip().splitlines() == [f"config error: config key 'model': {message}"]
+
+
+@pytest.mark.parametrize("extra,key,mode", [
+    ({"p1": [0.5, 0.3, 0.2], "T": 2.0}, "T", "an initial-value ('phi0')"),
+    ({"p1": [0.5, 0.3, 0.2], "dt": 0.01}, "dt", "an initial-value ('phi0')"),
+    ({"p1": [0.5, 0.3, 0.2], "nsteps": 10, "T": 1.0, "dt": 0.1}, "T",
+     "an initial-value ('phi0')"),
+    ({"phi0": [0.05, 0.0, -0.05], "nsteps": 10}, "nsteps", "a two-point ('p1')"),
+], ids=["p1-T", "p1-dt", "p1-T-dt", "phi0-nsteps"])
+def test_geodesic_rejects_keys_of_the_other_mode(tmp_path, capsys, extra, key, mode):
+    cfg = dict({"model": {"kind": "kl"}, "p0": [1 / 3, 1 / 3, 1 / 3]}, **extra)
+    code, out, err = run(capsys, ["geodesic", "--preset", "lattice3"], tmp_path, cfg)
+    assert code == 1
+    assert out == ""
+    assert f"config error: config key '{key}' belongs to {mode} geodesic" in err

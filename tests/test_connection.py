@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from onsagergeo import (
     AlphaMean,
     BvpNoConvergence,
+    CustomMean,
     GeodesicPath,
     GeometricMean,
     KLLogMean,
@@ -35,7 +36,7 @@ from onsagergeo.acceptance import (
     random_reversible_chain,
 )
 from onsagergeo import connection, dynamics
-from onsagergeo.chains import edge_matrix
+from onsagergeo.chains import edge_difference, edge_matrix
 from onsagergeo.connection import (
     JACOBIAN_BLOCK,
     GeodesicRecord,
@@ -839,3 +840,88 @@ def test_a_stage_that_is_not_positive_definite_names_its_time():
     assert "not positive definite" in message
     t = float(message.split("of the geodesic stage at t = ")[1].split()[0])
     assert plain.times[k - 1] < t <= plain.times[k]
+
+
+# -- the geodesic right-hand side ---------------------------------------------------
+
+RATE_MODELS = [
+    KLLogMean(), AlphaMean(-1.0), AlphaMean(0.0), AlphaMean(2.0), GeometricMean(0.7),
+    KLLogMean(convention="scaled", c=3.0), AlphaMean(2.0, convention="scaled", c=5.0),
+    GeometricMean(1.0, c=9.0, convention="scaled"),
+    CustomMean(lambda chain, p: np.sqrt(np.outer(p, p)) + 0.1),
+]
+
+
+def _equal_ratio_point(chain, model):
+    """A point whose ratios are equal on every edge but those at vertex 0:
+    those edges take the Taylor branch of a divergence mean."""
+    w = model._weights(chain) if hasattr(model, "_weights") else chain.pi
+    p = w / w.sum()
+    p[0] *= 1.2
+    return p / p.sum()
+
+
+@pytest.mark.parametrize("model", RATE_MODELS, ids=lambda m: f"{m.kind}-{getattr(m, 'convention', '')}")
+def test_geodesic_rate_is_the_bundle_bit_for_bit(model):
+    # [V_phi | -1/2 Gamma(phi, phi)] from one gather and one reduceat has the
+    # bits of the bundle's velocity and gamma, for one point and for a stack
+    rng = np.random.default_rng(91)
+    for n in (3, 4, 6):
+        chain = random_reversible_chain(rng, n)
+        points = [random_interior_point(rng, n, floor=1e-3), _equal_ratio_point(chain, model)]
+        pots = [random_potential(rng, n) for _ in points]
+        for p, phi in zip(points, pots):
+            geo = PointGeometry(chain, model, p)
+            d, rate = geo.geodesic_rate(phi)
+            assert rate.shape == (2, n)
+            assert np.array_equal(d, edge_difference(chain, phi))
+            assert np.array_equal(rate[0], geo.velocity(phi))
+            assert np.array_equal(rate[1], -0.5 * geo.gamma(phi, phi))
+        stack = PointGeometry(chain, model, np.array(points))
+        d, rate = stack.geodesic_rate(np.array(pots))
+        assert rate.shape == (2, len(points), n)
+        assert np.array_equal(rate[0], stack.velocity(np.array(pots)))
+        assert np.array_equal(rate[1], -0.5 * stack.gamma(np.array(pots), np.array(pots)))
+        for k, (p, phi) in enumerate(zip(points, pots)):
+            assert np.array_equal(rate[:, k], PointGeometry(chain, model, p).geodesic_rate(phi)[1])
+
+
+def test_the_equal_ratio_point_takes_the_taylor_branch():
+    rng = np.random.default_rng(92)
+    chain = random_reversible_chain(rng, 4, extra_edge_prob=1.0)
+    for model in RATE_MODELS[:4] + RATE_MODELS[5:7]:
+        patch = model._branching(chain, _equal_ratio_point(chain, model))[-1]
+        assert patch is not None and len(patch[0][0]) == 3  # the edges off vertex 0
+
+
+class _CountedKL(KLLogMean):
+    """KLLogMean that records the shape of every point it evaluates theta and
+    D1 at."""
+
+    def __init__(self):
+        super().__init__()
+        self.shapes = []
+
+    def theta_d1_edges(self, chain, p):
+        self.shapes.append(np.shape(p))
+        return super().theta_d1_edges(chain, p)
+
+
+@pytest.mark.parametrize("n", [4, 12])
+def test_geodesic_marches_evaluate_the_model_once_a_stage(n):
+    # four right-hand sides a step, each one model evaluation: geodesic_ivp,
+    # the geodesic phase of a transport through stage operators (n = 4) and
+    # the joint march (n = 12); the grid 0, 0.1, 0.2, 0.25 has three steps
+    rng = np.random.default_rng(93)
+    chain = random_reversible_chain(rng, n)
+    p = random_interior_point(rng, n, floor=5e-3)
+    phi0 = _scaled_potential(chain, KL, p, random_potential(rng, n), speed=0.05)
+    model = _CountedKL()
+    geodesic_ivp(chain, model, p, phi0, 0.25, 0.1)
+    assert model.shapes == [(n,)] * 12
+    model.shapes.clear()
+    parallel_transport(chain, model, GeodesicPath(p, phi0, 0.25), random_potential(rng, n), 0.1)
+    single = [s for s in model.shapes if s == (n,)]
+    assert len(single) == 12
+    # the stage operators evaluate the twelve recorded stages as one stack
+    assert model.shapes[12:] == ([(12, n)] if n <= connection.OPERATOR_MAX_N else [])

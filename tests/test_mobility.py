@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -326,6 +328,53 @@ def test_model_from_spec():
         model_from_spec({"kind": "kl", "beta": 1.0})
     with pytest.raises(ValueError, match="must be a mapping"):
         model_from_spec("kl")
+
+
+# (spec, the parameter named in the error, its kind of fault)
+BAD_PARAMETERS = [
+    ({"kind": "alpha", "alpha": float("nan")}, "alpha", "must be finite, got nan"),
+    ({"kind": "alpha", "alpha": float("inf")}, "alpha", "must be finite, got inf"),
+    ({"kind": "alpha", "alpha": -float("inf")}, "alpha", "must be finite, got -inf"),
+    ({"kind": "alpha", "alpha": "2"}, "alpha", "must be a number, got '2'"),
+    ({"kind": "alpha", "alpha": True}, "alpha", "must be a number, got True"),
+    ({"kind": "alpha", "alpha": None}, "alpha", "must be a number, got None"),
+    ({"kind": "geometric", "beta": float("nan")}, "beta", "must be finite, got nan"),
+    ({"kind": "geometric", "beta": True}, "beta", "must be a number, got True"),
+    ({"kind": "geometric", "beta": [0.5]}, "beta", "must be a number, got [0.5]"),
+    ({"kind": "geometric", "c": float("inf"), "convention": "scaled"}, "c",
+     "must be finite, got inf"),
+    ({"kind": "kl", "c": float("nan"), "convention": "scaled"}, "c", "must be finite, got nan"),
+    ({"kind": "kl", "c": float("inf"), "convention": "scaled"}, "c", "must be finite, got inf"),
+    ({"kind": "alpha", "alpha": 2.0, "c": "3", "convention": "scaled"}, "c",
+     "must be a number, got '3'"),
+    ({"kind": "kl", "c": False, "convention": "scaled"}, "c", "must be a number, got False"),
+]
+BAD_IDS = ["alpha-nan", "alpha-inf", "alpha-minus-inf", "alpha-string", "alpha-bool",
+           "alpha-none", "beta-nan", "beta-bool", "beta-list", "geometric-c-inf", "kl-c-nan",
+           "kl-c-inf", "alpha-c-string", "kl-c-bool"]
+
+
+@pytest.mark.parametrize("spec,name,fault", BAD_PARAMETERS, ids=BAD_IDS)
+def test_invalid_model_parameters_are_rejected(spec, name, fault):
+    message = f"model parameter '{name}' {fault}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        model_from_spec(spec)
+    params = {k: v for k, v in spec.items() if k != "kind"}
+    build = {"alpha": AlphaMean, "geometric": GeometricMean, "kl": KLLogMean}[spec["kind"]]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build(**params)
+
+
+def test_model_parameters_are_kept_as_floats():
+    assert AlphaMean(2).alpha == 2.0 and isinstance(AlphaMean(2).alpha, float)
+    assert AlphaMean(np.float32(0.5)).alpha == 0.5
+    g = GeometricMean(np.int64(1), c=9, convention="scaled")
+    assert (g.beta, g.c) == (1.0, 9.0) and isinstance(g.c, float)
+    assert KLLogMean().c is None
+    with pytest.raises(ValueError, match="alpha = 1"):
+        AlphaMean(np.float64(1.0))
+    with pytest.raises(ValueError, match="requires c > 0"):
+        KLLogMean(convention="scaled", c=-1.0)
 
 
 @pytest.mark.parametrize("model", MODELS + [constant_mobility()],
