@@ -100,6 +100,16 @@ def get_number(cfg, key, default):
     return float(value)
 
 
+def get_time_span(cfg):
+    """The keys T and dt, positive numbers whose step count T/dt is finite."""
+    T = get_number(cfg, "T", 1.0)
+    dt = get_number(cfg, "dt", 1e-3)
+    if not np.isfinite(T / dt):
+        raise ConfigError(f"config keys 'T' and 'dt': the step count T/dt = {T / dt} "
+                          "is not finite")
+    return T, dt
+
+
 def build_chain(cfg, preset_flag):
     spec = {"preset": preset_flag} if preset_flag else cfg.get("chain")
     if spec is None:
@@ -125,7 +135,7 @@ def build_chain(cfg, preset_flag):
         raise ConfigError("config key 'chain.rates' must be a list of [i, j, rate] triples")
     try:
         return chain_from_rates(n, rates)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"config key 'chain.rates': {exc}") from None
 
 
@@ -213,8 +223,7 @@ def cmd_simulate(args):
     chain = build_chain(cfg, args.preset)
     model = build_model(cfg)
     p0 = get_point(cfg, "p0", chain.n)
-    T = get_number(cfg, "T", 1.0)
-    dt = get_number(cfg, "dt", 1e-3)
+    T, dt = get_time_span(cfg)
     traj = integrate(chain, model, p0, T, dt)
     n = chain.n
     header = (["t"] + [f"p{i + 1}" for i in range(n)]
@@ -254,8 +263,7 @@ def cmd_geodesic(args):
         _, rec, _ = geodesic_bvp(chain, model, p0, p1, nsteps=nsteps)
     else:
         phi0 = mean_zero(get_potential(cfg, "phi0", chain.n))
-        T = get_number(cfg, "T", 1.0)
-        dt = get_number(cfg, "dt", 1e-3)
+        T, dt = get_time_span(cfg)
         rec = geodesic_ivp(chain, model, p0, phi0, T, dt)
     header, rows = _geodesic_rows(chain, rec)
     emit(csv_text(header, rows), args.out or cfg.get("out"))
@@ -270,8 +278,7 @@ def cmd_transport(args):
     p0 = get_point(cfg, "p0", chain.n)
     phi0 = mean_zero(get_potential(cfg, "phi0", chain.n))
     eta0 = get_potential(cfg, "eta0", chain.n)
-    T = get_number(cfg, "T", 1.0)
-    dt = get_number(cfg, "dt", 1e-3)
+    T, dt = get_time_span(cfg)
     states = parallel_transport(chain, model, GeodesicPath(p0, phi0, T), eta0, dt)
     rec = GeodesicRecord(np.array([st.t for st in states]),
                          np.array([st.gamma for st in states]),

@@ -114,6 +114,8 @@ def advance_interior(f, y, dt, is_ok, depth=0):
 def _time_grid(T, dt):
     if not (np.isfinite(T) and np.isfinite(dt)) or dt <= 0 or T < 0:
         raise ValueError("need dt > 0 and T >= 0, both finite")
+    if not np.isfinite(T / dt):
+        raise ValueError(f"the step count T/dt = {T / dt} is not finite")
     steps = int(np.floor(T / dt + 1e-12))
     times = [k * dt for k in range(steps + 1)]
     if T - times[-1] > 1e-12 * max(1.0, T):

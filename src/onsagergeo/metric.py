@@ -226,7 +226,7 @@ def distance(chain, model, p0, p1, **bvp_options):
     """Geodesic distance between two interior points (shooting solver)."""
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
-    if np.allclose(p0, p1, atol=1e-14):
+    if np.allclose(p0, p1, rtol=0.0, atol=1e-14):
         return 0.0
     from .connection import geodesic_bvp
 

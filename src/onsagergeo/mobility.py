@@ -16,7 +16,13 @@ realized numerically.
 Models evaluate theta and its partials on the chain's edges (see
 `ReversibleChain`): theta and the mixed second partial once per edge, shape
 (..., E), and the partials by one endpoint at both ends, shape (..., 2, E).
-The matrix accessors scatter those arrays to (..., n, n).
+Each family writes that arithmetic once, in `_edges`: theta, then D1, then
+(S_ii, S_ij), up to the order the accessor asks for, from one evaluation of
+the ratios.  The matrix accessors scatter those arrays to (..., n, n).
+
+A model holds only its parameters.  The constants of the ratios are the
+chain's (pi, and 1/pi at the edge ends, built with the chain) or, in the
+scaled convention, the scalar weight 1/c.
 """
 
 import numbers
@@ -79,33 +85,32 @@ class MobilityModel:
     Every accessor also takes a stack of points of shape (..., n) on the one
     chain and returns one array per point: (..., E) or (..., 2, E) for the
     edge accessors, (..., n, n) for the matrix accessors.
+
+    A model holds its parameters only; whatever an evaluation needs of the
+    chain it reads from the chain.
     """
 
     kind = "abstract"
     has_divergence = False
 
-    # -- edge arrays, implemented by subclasses on validated points ----------
-    def _theta_edges(self, chain, p):
-        raise NotImplementedError
-
-    def _theta_d1_edges(self, chain, p):
-        raise NotImplementedError
-
-    def _d2_edges(self, chain, p):
+    def _edges(self, chain, p, order):
+        """The edge arrays at validated points p, from one evaluation of the
+        model: (theta,) for order 0, (theta, D1) for order 1 and
+        (theta, D1, S_ii, S_ij) for order 2.  Implemented by subclasses."""
         raise NotImplementedError
 
     # -- public accessors -----------------------------------------------------
     def theta_edges(self, chain, p):
         """theta on each edge, (..., E)."""
-        return self._theta_edges(chain, check_interior(p))
+        return self._edges(chain, check_interior(p), 0)[0]
 
     def theta_d1_edges(self, chain, p):
         """(theta, D1) from one evaluation: (..., E) and (..., 2, E)."""
-        return self._theta_d1_edges(chain, check_interior(p))
+        return self._edges(chain, check_interior(p), 1)
 
     def d2_edges(self, chain, p):
         """(S_ii at both ends, S_ij): (..., 2, E) and (..., E)."""
-        return self._d2_edges(chain, check_interior(p))
+        return self._edges(chain, check_interior(p), 2)[2:]
 
     def theta_matrix(self, chain, p):
         """Symmetric positive edge matrix theta, zero off the edge set."""
@@ -138,11 +143,13 @@ class MobilityModel:
 
 
 class _RatioMean(MobilityModel):
-    """Shared machinery for models built from density ratios z.
+    """Shared machinery for models built from density ratios z = p / w.
 
-    convention "pi":     z_i = p_i / pi_i        (reference = the chain's pi)
-    convention "scaled": z_i = c * p_i           (uniform-reference closed-form
-                                                  parameterization; weight 1/c)
+    convention "pi":     w = the chain's pi      (z_i = p_i / pi_i)
+    convention "scaled": w = 1/c at every state  (the uniform-reference
+                                                  closed-form parameterization)
+
+    The parameter c belongs to the scaled convention only.
     """
 
     def __init__(self, convention="pi", c=None):
@@ -153,30 +160,26 @@ class _RatioMean(MobilityModel):
         if convention == "scaled":
             if c is None or c <= 0:
                 raise ValueError("scaled convention requires c > 0")
+        elif c is not None:
+            raise ValueError("model parameter 'c' applies to the scaled convention only")
         self.convention = convention
         self.c = c
 
-    def _weights(self, chain):
-        """Reference weights w with z = p / w."""
+    def _ratio_constants(self, chain):
+        """(w, s, s signed by INCIDENCE): the reference weights, z = p / w,
+        and the ratio scale s = dz/dp = 1/w at the edge ends.  In the pi
+        convention these are the chain's pi and its (2, E) arrays of 1/pi at
+        the edge ends; the scaled convention has the scalar weight 1/c, and s
+        as a (2, 1) column."""
         if self.convention == "scaled":
-            return np.full(chain.n, 1.0 / self.c)
-        return chain.pi
+            w = 1.0 / self.c
+            s = np.full((2, 1), 1.0 / w)
+            return w, s, s * INCIDENCE
+        return chain.pi, chain.end_inv_pi, chain.signed_end_inv_pi
 
-    def _ratios(self, chain, p):
-        w = self._weights(chain)
-        return p / w, 1.0 / w  # z and s = dz/dp
-
-    _scaled_chain = None  # the chain whose constants `_rescale` keeps
-
-    def _rescale(self, chain):
-        """Keep the constants of the chain: the reference weights w, (n,),
-        and s = 1/w at the edge ends, unsigned and signed by INCIDENCE,
-        (2, E).  They are computed on the chain's first evaluation and kept
-        until another chain is evaluated."""
-        self._w = self._weights(chain)
-        self._s_ends = (1.0 / self._w)[chain.edge_ends]
-        self._signed_s_ends = self._s_ends * INCIDENCE
-        self._scaled_chain = chain
+    def _weights(self, chain):
+        """Reference weights w with z = p / w, one per state."""
+        return np.broadcast_to(self._ratio_constants(chain)[0], chain.n)
 
 
 class _DivergenceMean(_RatioMean):
@@ -213,10 +216,8 @@ class _DivergenceMean(_RatioMean):
         and gathered to the edge ends.  `patch` holds the indices and the
         midpoint data of the edges in the Taylor regime, or None when there
         are none (the usual case); `safe` is f'(z_j) - f'(z_i), one on those
-        edges.  It keeps the chain's constants (`_rescale`) for the callers."""
-        if self._scaled_chain is not chain:
-            self._rescale(chain)
-        z = p / self._w
+        edges."""
+        z = p / self._ratio_constants(chain)[0]
         f1v = self.f1(z)
         f2v = self.f2(z)
         # the ratios of a checked point are finite, so the minimum decides as
@@ -236,85 +237,65 @@ class _DivergenceMean(_RatioMean):
         patch = idx, 0.5 * (zi + zj), 0.5 * (zj - zi)
         return z, f2v, diff, np.where(near, 1.0, safe), patch
 
-    def _taylor_theta(self, mid, half):
-        """Two-term Taylor expansion of theta about the midpoint ratio."""
-        f2m = self.f2(mid)
-        return 1.0 / f2m - self.f4(mid) / (6.0 * f2m**2) * half**2
-
-    def _taylor_d1(self, mid, half):
-        """Two-term Taylor expansion of D1 at end i (before the ratio scale
-        s); end j takes -half."""
-        f2m = self.f2(mid)
-        return -self.f3(mid) / (2.0 * f2m**2) + self.f4(mid) / (6.0 * f2m**2) * half
-
-    # The generic formulas below hold off the Taylor edges only; the patch
-    # overwrites those.  At end a of an edge with other end b the quotients
-    # divide by f'(z_b) - f'(z_a), which is safe at end i and -safe at end j.
-    def _theta_edges(self, chain, p):
+    def _edges(self, chain, p, order):
+        """The generic quotients hold off the Taylor edges only: the patch,
+        two-term Taylor expansions about the midpoint ratio, overwrites
+        those.  At end a of an edge with other end b the quotients divide
+        by f'(z_b) - f'(z_a), which is safe at end i and -safe at end j.
+        D1 divides by safe at both ends and takes the sign of end j with the
+        ratio scale s (x / -safe times s is x / safe times -s, bit for bit),
+        so the Taylor value at end j enters negated."""
         z, f2v, diff, safe, patch = self._branching(chain, p)
         t = diff / safe
-        if patch is not None:
-            idx, mid, half = patch
-            t[idx] = self._taylor_theta(mid, half)
-        return t
-
-    def _theta_d1_edges(self, chain, p):
-        """theta and D1 from one branching pass.  D1 divides by safe at both
-        ends and takes the sign of end j with the ratio scale s (x / -safe
-        times s is x / safe times -s, bit for bit), so the Taylor value at
-        end j enters negated."""
-        z, f2v, diff, safe, patch = self._branching(chain, p)
-        t = diff / safe
-        d = t[..., None, :] * gather(f2v, chain.edge_ends)
-        d -= 1.0
-        d /= safe[..., None, :]
-        if patch is not None:
-            idx, mid, half = patch
-            t[idx] = self._taylor_theta(mid, half)
-            d[..., 0, :][idx] = self._taylor_d1(mid, half)
-            d[..., 1, :][idx] = -self._taylor_d1(mid, -half)
-        d *= self._signed_s_ends
-        return t, d
-
-    def _d2_edges(self, chain, p):
-        z, f2v, diff, safe, patch = self._branching(chain, p)
-        ends = chain.edge_ends
-        t = diff / safe
-        f2e = gather(f2v, ends)
-        f2i, f2j = f2e[..., 0, :], f2e[..., 1, :]
-        den = safe[..., None, :] * INCIDENCE
-        te = t[..., None, :]
-        s_ii = 2.0 * f2e * (te * f2e - 1.0) / den**2 + te * gather(self.f3(z), ends) / den
-        s_ij = (f2i + f2j - 2.0 * t * f2i * f2j) / safe**2
+        if order:
+            ends = chain.edge_ends
+            f2e = gather(f2v, ends)
+            te = t[..., None, :]
+            d = te * f2e
+            d -= 1.0
+            if order == 2:
+                den = safe[..., None, :] * INCIDENCE
+                s_ii = 2.0 * f2e * d / den**2 + te * gather(self.f3(z), ends) / den
+                f2i, f2j = f2e[..., 0, :], f2e[..., 1, :]
+                s_ij = (f2i + f2j - 2.0 * t * f2i * f2j) / safe**2
+            d /= safe[..., None, :]
         if patch is not None:
             idx, mid, half = patch
             f2m = self.f2(mid)
-            f3m = self.f3(mid)
             f4m = self.f4(mid)
-            even = f3m**2 / (2.0 * f2m**3)
-            odd = self.f5(mid) / (6.0 * f2m**2) - f4m * f3m / (3.0 * f2m**3)
-            s_ii[..., 0, :][idx] = even - f4m / (3.0 * f2m**2) + half * odd
-            s_ii[..., 1, :][idx] = even - f4m / (3.0 * f2m**2) - half * odd
-            s_ij[idx] = even - f4m / (6.0 * f2m**2)
-        se = self._s_ends
-        return s_ii * se**2, s_ij * se[0] * se[1]
+            q = f4m / (6.0 * f2m**2)
+            t[idx] = 1.0 / f2m - q * half**2
+            if order:
+                f3m = self.f3(mid)
+                g = -f3m / (2.0 * f2m**2)
+                d[..., 0, :][idx] = g + q * half
+                d[..., 1, :][idx] = -(g - q * half)  # g + q * -half, negated
+            if order == 2:
+                even = f3m**2 / (2.0 * f2m**3)
+                odd = self.f5(mid) / (6.0 * f2m**2) - f4m * f3m / (3.0 * f2m**3)
+                s_ii[..., 0, :][idx] = even - f4m / (3.0 * f2m**2) + half * odd
+                s_ii[..., 1, :][idx] = even - f4m / (3.0 * f2m**2) - half * odd
+                s_ij[idx] = even - q
+        if not order:
+            return (t,)
+        _, s, signed_s = self._ratio_constants(chain)
+        d *= signed_s
+        if order == 1:
+            return t, d
+        return t, d, s_ii * s**2, s_ij * s[0] * s[1]
 
     # divergence D_f(p || reference) = sum_i w_i f(z_i) ----------------------
     def divergence(self, chain, p):
         """The divergence; one value per point of a stack."""
-        p = check_interior(p)
-        z, _ = self._ratios(chain, p)
-        return (self._weights(chain) * self.f0(z)).sum(axis=-1)
+        w = self._ratio_constants(chain)[0]
+        return (w * self.f0(check_interior(p) / w)).sum(axis=-1)
 
     def divergence_gradient(self, chain, p):
-        p = check_interior(p)
-        z, _ = self._ratios(chain, p)
-        return self.f1(z)
+        return self.f1(check_interior(p) / self._ratio_constants(chain)[0])
 
     def divergence_hessian_diag(self, chain, p):
-        p = check_interior(p)
-        z, s = self._ratios(chain, p)
-        return self.f2(z) * s
+        w = self._ratio_constants(chain)[0]
+        return self.f2(check_interior(p) / w) * (1.0 / w)
 
 
 class KLLogMean(_DivergenceMean):
@@ -383,7 +364,8 @@ class AlphaMean(_DivergenceMean):
 
 
 class GeometricMean(_RatioMean):
-    """theta_ij = (z_i z_j)^beta ("pi") or c (p_i p_j)^beta ("scaled").
+    """theta_ij = (z_i z_j)^beta ("pi") or c (p_i p_j)^beta ("scaled", c = 1
+    unless given).
 
     beta = 1/2 in the pi convention is the classic geometric mean of the
     ratios.  No paired divergence exists for this family.
@@ -392,27 +374,27 @@ class GeometricMean(_RatioMean):
     kind = "geometric-mean"
     has_divergence = False
 
-    def __init__(self, beta=0.5, c=1.0, convention="pi"):
-        super().__init__(convention, c)
+    def __init__(self, beta=0.5, c=None, convention="pi"):
+        super().__init__(convention, 1.0 if c is None and convention == "scaled" else c)
         self.beta = model_parameter("beta", beta)
 
-    def _theta_edges(self, chain, p):
-        if self.convention == "scaled":
-            pe = gather(p, chain.edge_ends)
-            return self.c * (pe[..., 0, :] * pe[..., 1, :]) ** self.beta
-        ze = gather(p / chain.pi, chain.edge_ends)
-        return (ze[..., 0, :] * ze[..., 1, :]) ** self.beta
-
-    def _theta_d1_edges(self, chain, p):
-        t = self._theta_edges(chain, p)
-        return t, self.beta * t[..., None, :] / gather(p, chain.edge_ends)
-
-    def _d2_edges(self, chain, p):
-        t = self._theta_edges(chain, p)
-        pe = gather(p, chain.edge_ends)
+    def _edges(self, chain, p, order):
+        """theta from the densities ("scaled") or the ratios ("pi") at the
+        edge ends; every partial is theta times a power of the densities."""
+        scaled = self.convention == "scaled"
+        xe = gather(p if scaled else p / chain.pi, chain.edge_ends)
+        t = (xe[..., 0, :] * xe[..., 1, :]) ** self.beta
+        if scaled:
+            t *= self.c
+        if not order:
+            return (t,)
+        pe = xe if scaled else gather(p, chain.edge_ends)
         b = self.beta
-        return (b * (b - 1.0) * t[..., None, :] / pe**2,
-                b**2 * t / (pe[..., 0, :] * pe[..., 1, :]))
+        te = t[..., None, :]
+        d = b * te / pe
+        if order == 1:
+            return t, d
+        return t, d, b * (b - 1.0) * te / pe**2, b**2 * t / (pe[..., 0, :] * pe[..., 1, :])
 
 
 class CustomMean(MobilityModel):
@@ -432,10 +414,13 @@ class CustomMean(MobilityModel):
     def __init__(self, theta_fn, f=None):
         self.theta_fn = theta_fn
         self.f = f
-        self.has_divergence = f is not None
 
-    def _theta_edges(self, chain, p):
-        # the callback sees one point at a time and is read at each edge (i, j)
+    @property
+    def has_divergence(self):
+        return self.f is not None
+
+    def _sampled(self, chain, p):
+        """theta_fn at each point of p, read at each edge (i, j)."""
         i, j = chain.edge_ends
         rows = [np.asarray(self.theta_fn(chain, q), dtype=float)[i, j]
                 for q in p.reshape(-1, chain.n)]
@@ -448,34 +433,36 @@ class CustomMean(MobilityModel):
         for k in range(chain.n):
             e = np.zeros(chain.n)
             e[k] = h
-            value = difference(self._theta_edges(chain, p + e), self._theta_edges(chain, p - e))
+            value = difference(self._sampled(chain, p + e), self._sampled(chain, p - e))
             for end in (0, 1):
                 mine = chain.edge_ends[end] == k
                 out[..., end, mine] = value[..., mine]
         return out
 
-    def _theta_d1_edges(self, chain, p):
+    def _edges(self, chain, p, order):
+        """theta from the callback, D1 and S from central differences of it."""
+        t = self._sampled(chain, p)
+        if not order:
+            return (t,)
         d1 = self._partials_by_vertex(chain, p, H1, lambda tp, tm: (tp - tm) / (2 * H1))
-        return self._theta_edges(chain, p), d1
-
-    def _d2_edges(self, chain, p):
+        if order == 1:
+            return t, d1
         n = chain.n
-        t0 = self._theta_edges(chain, p)
-        s_ii = self._partials_by_vertex(chain, p, H2, lambda tp, tm: (tp - 2 * t0 + tm) / H2**2)
-        s_ij = np.empty_like(t0)
+        s_ii = self._partials_by_vertex(chain, p, H2, lambda tp, tm: (tp - 2 * t + tm) / H2**2)
+        s_ij = np.empty_like(t)
         for e, (k, l) in enumerate(chain.edges):
             ek = np.zeros(n)
             el = np.zeros(n)
             ek[k] = H2
             el[l] = H2
             mixed = (
-                self._theta_edges(chain, p + ek + el)
-                - self._theta_edges(chain, p + ek - el)
-                - self._theta_edges(chain, p - ek + el)
-                + self._theta_edges(chain, p - ek - el)
+                self._sampled(chain, p + ek + el)
+                - self._sampled(chain, p + ek - el)
+                - self._sampled(chain, p - ek + el)
+                + self._sampled(chain, p - ek - el)
             ) / (4 * H2**2)
             s_ij[..., e] = mixed[..., e]
-        return s_ii, s_ij
+        return t, d1, s_ii, s_ij
 
     def divergence(self, chain, p):
         if self.f is None:
@@ -558,11 +545,7 @@ def model_from_spec(spec):
             raise ValueError("mobility kind 'alpha' requires key 'alpha'")
         model = AlphaMean(spec.pop("alpha"), convention=convention, c=c)
     elif kind in ("geometric", "geometric-mean"):
-        model = GeometricMean(
-            beta=spec.pop("beta", 0.5),
-            c=1.0 if c is None else c,
-            convention=convention,
-        )
+        model = GeometricMean(spec.pop("beta", 0.5), c=c, convention=convention)
     else:
         raise ValueError(f"unknown mobility kind {kind!r}")
     if spec:

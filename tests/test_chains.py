@@ -82,10 +82,20 @@ def test_chain_from_rates_matches_builtin():
     assert_allclose(chain.pi, ref.pi)
 
 
-@pytest.mark.parametrize("entry", [(0, 2, 1.0), (1, 1, 1.0), (1, 5, 1.0)])
+@pytest.mark.parametrize("entry", [(0, 2, 1.0), (1, 1, 1.0), (1, 5, 1.0),
+                                   (1.7, 2, 1.0), (True, 2, 1.0), (1, np.float64(2.5), 1.0),
+                                   (1, "2", 1.0)])
 def test_chain_from_rates_rejects_bad_indices(entry):
     with pytest.raises(ValueError, match="1-based"):
         chain_from_rates(3, [entry])
+
+
+def test_chain_from_rates_rejects_repeated_pairs():
+    with pytest.raises(ValueError, match=r"bad rate entry \(1, 2\): the pair is given twice"):
+        chain_from_rates(3, [(1, 2, 1.0), (2, 1, 1.0), (1, 2, 5.0)])
+    # integral floats and numpy integers are indices, and (j, i) is another pair
+    chain = chain_from_rates(2, [(1.0, np.int64(2), 1.0), (2, 1, 1.0)])
+    assert chain.Q.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
 
 def test_presets():
@@ -209,6 +219,16 @@ def _null_space_cases():
     # kernels of dimension above one, and none at all
     cases += [rng.normal(size=shape) for shape in [(1, 3), (2, 5), (3, 7), (4, 4), (6, 3)]]
     return cases
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_null_space_rejects_non_finite_entries(bad):
+    # scipy's error, raised before the SVD, which need not return on such a
+    # matrix (a generator whose diagonal sums finite rates to -inf)
+    A = np.array([[bad, 1.0], [1.0, -1.0]])
+    for solve in (scipy.linalg.null_space, null_space):
+        with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+            solve(A)
 
 
 def test_null_space_matches_scipy_bit_for_bit():

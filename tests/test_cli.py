@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from onsagergeo import cli
 from onsagergeo.acceptance import CriterionResult
@@ -19,6 +23,13 @@ def run(capsys, argv, tmp_path=None, config=None):
     code = cli.main(list(argv))
     cap = capsys.readouterr()
     return code, cap.out, cap.err
+
+
+def source_env():
+    """The environment of a subprocess that imports this checkout's package."""
+    src = Path(cli.__file__).resolve().parents[1]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
 
 
 def parse_csv(out):
@@ -253,12 +264,41 @@ def test_out_writes_a_file(tmp_path, capsys):
      {"model": {"kind": "kl"}, "p0": [0.5, 0.3, 0.2],
       "phi0": [float("nan"), 0.0, -0.1]},
      "config key 'phi0' must have finite entries"),
+    (["analyze"],
+     {"chain": {"n": 3, "rates": [[1.7, 2, 1.0]] + LATTICE_RATES[1:]},
+      "model": {"kind": "kl"}, "point": [0.5, 0.3, 0.2]},
+     "config key 'chain.rates': bad rate entry (1.7, 2): indices are 1-based integers"),
+    (["analyze"],
+     {"chain": {"n": 3, "rates": [[True, 2, 1.0]] + LATTICE_RATES[1:]},
+      "model": {"kind": "kl"}, "point": [0.5, 0.3, 0.2]},
+     "config key 'chain.rates': bad rate entry (True, 2): indices are 1-based integers"),
+    (["analyze"],
+     {"chain": {"n": 3, "rates": LATTICE_RATES + [[1, 2, 5.0]]},
+      "model": {"kind": "kl"}, "point": [0.5, 0.3, 0.2]},
+     "config key 'chain.rates': bad rate entry (1, 2): the pair is given twice"),
+    (["analyze"],
+     {"chain": {"n": 3, "rates": LATTICE_RATES[:3] + [[3, 2, 10**400]]},
+      "model": {"kind": "kl"}, "point": [0.5, 0.3, 0.2]},
+     "config key 'chain.rates': int too large to convert to float"),
+    (["simulate", "--preset", "lattice3"],
+     {"model": {"kind": "kl"}, "p0": [0.5, 0.3, 0.2], "T": 1e300, "dt": 1e-300},
+     "config keys 'T' and 'dt': the step count T/dt = inf is not finite"),
+    (["geodesic", "--preset", "lattice3"],
+     {"model": {"kind": "kl"}, "p0": [0.5, 0.3, 0.2], "phi0": [0.1, 0.0, -0.1],
+      "T": 1e300, "dt": 1e-300},
+     "config keys 'T' and 'dt': the step count T/dt = inf is not finite"),
+    (["transport", "--preset", "lattice3"],
+     {"model": {"kind": "kl"}, "p0": [0.5, 0.3, 0.2], "phi0": [0.1, 0.0, -0.1],
+      "eta0": [1.0, 0.0, -1.0], "T": 1e300, "dt": 1e-300},
+     "config keys 'T' and 'dt': the step count T/dt = inf is not finite"),
 ], ids=["unknown-key", "missing-point", "short-point", "missing-chain",
         "bad-model", "bad-rates", "bad-T", "missing-eta0", "off-simplex-point",
         "off-simplex-simulate", "off-simplex-geodesic", "off-simplex-p1",
         "off-simplex-transport", "sweep-chain-not-object", "sweep-chain-unknown-key",
         "sweep-rates-chain", "nan-eta0",
-        "inf-dt-geodesic", "inf-T-simulate", "nan-dt-simulate", "nan-phi0"])
+        "inf-dt-geodesic", "inf-T-simulate", "nan-dt-simulate", "nan-phi0",
+        "fractional-index", "bool-index", "repeated-pair", "huge-int-rate",
+        "step-count-simulate", "step-count-geodesic", "step-count-transport"])
 def test_config_errors(tmp_path, capsys, argv, config, message):
     code, out, err = run(capsys, argv, tmp_path, config)
     assert code == 1
@@ -333,9 +373,7 @@ def test_module_entry_point_runs_the_cli(tmp_path, capsys):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"model": {"kind": "kl"}}))
     argv = ["sweep", "--preset", "lattice3", "--grid", "2", "--config", str(config)]
-    src = Path(cli.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    env = source_env()
     proc = subprocess.run([sys.executable, "-m", "onsagergeo", *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -368,6 +406,23 @@ def test_non_finite_rates_are_config_errors(tmp_path, capsys, rate):
     assert code == 1
     assert out == ""
     assert f"config error: config key 'chain.rates': rates must be finite: Q[2, 1] = {rate}" in err
+
+
+def test_a_generator_with_an_infinite_diagonal_is_a_config_error(tmp_path):
+    # every rate is finite, but the generator's diagonal sums them to -inf;
+    # the stationary solve refuses the matrix at once instead of running its
+    # SVD on it, which need not return
+    rates = [[1, 2, 1e308], [1, 3, 1e308], [2, 1, 1e308], [3, 1, 1e308],
+             [2, 3, 1], [3, 2, 1]]
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"chain": {"n": 3, "rates": rates}, "model": {"kind": "kl"},
+                                "point": [0.5, 0.3, 0.2]}))
+    proc = subprocess.run([sys.executable, "-m", "onsagergeo", "analyze", "--config", str(path)],
+                          env=source_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == ("config error: config key 'chain.rates': "
+                           "array must not contain infs or NaNs\n")
 
 
 NO_SCIPY_SCRIPT = """
@@ -404,9 +459,7 @@ print(json.dumps(loaded))
 
 
 def test_commands_load_no_scipy(tmp_path):
-    src = Path(cli.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    env = source_env()
     proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -425,13 +478,16 @@ BAD_MODELS = [
      "model parameter 'c' must be finite, got nan"),
     ({"kind": "kl", "convention": "scaled", "c": float("inf")},
      "model parameter 'c' must be finite, got inf"),
+    ({"kind": "kl", "c": 3}, "model parameter 'c' applies to the scaled convention only"),
+    ({"kind": "geometric", "c": 5},
+     "model parameter 'c' applies to the scaled convention only"),
 ]
 
 
 @pytest.mark.parametrize("command", ["analyze", "geodesic"])
 @pytest.mark.parametrize("model,message", BAD_MODELS,
                          ids=["alpha-nan", "alpha-inf", "alpha-string", "beta-nan",
-                              "beta-bool", "c-nan", "c-inf"])
+                              "beta-bool", "c-nan", "c-inf", "kl-c-pi", "geometric-c-pi"])
 def test_invalid_model_parameters_are_config_errors(tmp_path, capsys, command, model, message):
     # json reads NaN and Infinity; the model is refused before any arithmetic,
     # so no numpy warning reaches stderr either
@@ -457,3 +513,52 @@ def test_geodesic_rejects_keys_of_the_other_mode(tmp_path, capsys, extra, key, m
     assert code == 1
     assert out == ""
     assert f"config error: config key '{key}' belongs to {mode} geodesic" in err
+
+
+# -- the exit-code contract on generated configs -------------------------------------
+
+# rate triples mix valid entries with the ill-formed kinds: fractional, bool
+# and out-of-range indices, repeated pairs, and 0, bool and 1e308 rates
+RATE_INDICES = st.one_of(st.integers(0, 6), st.sampled_from([1.5, 2.0, True, False]))
+RATE_VALUES = st.one_of(st.sampled_from([0, 1, 1e308, True, 2.5]), st.floats(0.1, 10.0))
+MODEL_SPECS = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["kl", "alpha", "geometric", "bogus"])},
+    optional={"alpha": st.sampled_from([-1.0, 0.0, 2.0, 1, 3, "2", True, 1e308]),
+              "beta": st.sampled_from([0.5, 0.7, 2.0, 0.0, -1.0, 1e308, None]),
+              "c": st.sampled_from([1.0, 9.0, 0.0, -1.0, 1e308, True]),
+              "convention": st.sampled_from(["pi", "scaled", "weird"]),
+              "bogus": st.just(1)})
+
+
+@st.composite
+def analyze_configs(draw):
+    """An analyze config on at most five states.  Inline chains give each
+    drawn pair one rate both ways, which is reversible, plus stray triples."""
+    if draw(st.booleans()):
+        n = 3
+        chain = {"preset": draw(st.sampled_from(["lattice3", "triangle-reaction"]))}
+    else:
+        n = draw(st.integers(2, 5))
+        pairs = draw(st.lists(st.sampled_from([(i, j) for i in range(1, n + 1)
+                                               for j in range(i + 1, n + 1)]),
+                              unique=True, max_size=10))
+        rate = draw(RATE_VALUES)
+        stray = draw(st.lists(st.lists(st.one_of(RATE_INDICES, RATE_VALUES), min_size=3,
+                                       max_size=3), max_size=3))
+        chain = {"n": n, "rates": [[i, j, rate] for i, j in pairs]
+                 + [[j, i, rate] for i, j in pairs] + stray}
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    point = [w / sum(weights) for w in weights]
+    return {"chain": chain, "model": draw(MODEL_SPECS), "point": point}
+
+
+@given(analyze_configs())
+def test_analyze_keeps_the_exit_code_contract(tmp_path_factory, config):
+    path = tmp_path_factory.mktemp("analyze") / "run.json"
+    path.write_text(json.dumps(config))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["analyze", "--config", str(path), "--out", str(path.with_suffix(".out"))])
+    assert code in (0, 1, 2)
+    if code:
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()

@@ -811,17 +811,19 @@ def test_stage_operators_are_formed_in_bounded_blocks(monkeypatch):
 
 
 class _FlippedBelow(GeometricMean):
-    """The geometric mean, with theta negated wherever p_0 falls below a
-    threshold: there L(theta) is negative semidefinite."""
+    """The geometric mean, with theta and D1 negated wherever p_0 falls
+    below a threshold: there L(theta) is negative semidefinite."""
 
     def __init__(self, threshold):
         super().__init__(0.7)
         self.threshold = threshold
 
-    def _theta_d1_edges(self, chain, p):
-        t, d1 = super()._theta_d1_edges(chain, p)
+    def _edges(self, chain, p, order):
+        edges = super()._edges(chain, p, order)
+        if order != 1:
+            return edges
         sign = np.where(p[..., :1] < self.threshold, -1.0, 1.0)
-        return t * sign, d1 * sign[..., None]
+        return edges[0] * sign, edges[1] * sign[..., None]
 
 
 def test_a_stage_that_is_not_positive_definite_names_its_time():

@@ -189,6 +189,8 @@ def test_time_grid():
     for T, dt in [(np.inf, 0.1), (np.nan, 0.1), (1.0, np.inf), (1.0, np.nan)]:
         with pytest.raises(ValueError, match="need dt > 0"):
             _time_grid(T, dt)
+    with pytest.raises(ValueError, match=r"the step count T/dt = inf is not finite"):
+        _time_grid(1e300, 1e-300)
 
 def test_energy_hessian_fallback_matches_analytic_diagonal():
     analytic = divergence_energy(KL, LATTICE)

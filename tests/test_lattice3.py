@@ -251,13 +251,13 @@ def test_sweep_flags_exactly_the_degenerate_rows():
 
 class _Counting(GeometricMean):
     """A geometric mean that counts its model evaluations: theta, D1 and S
-    all start from `_theta_edges`."""
+    all come from `_edges`."""
 
     evaluations = 0
 
-    def _theta_edges(self, chain, p):
+    def _edges(self, chain, p, order):
         self.evaluations += 1
-        return super()._theta_edges(chain, p)
+        return super()._edges(chain, p, order)
 
 
 def test_multi_block_sweep_evaluates_per_block(monkeypatch):

@@ -27,6 +27,7 @@ from onsagergeo import (
     pseudo_inverse,
     response_at,
     response_matrix,
+    triangle_reaction_chain,
 )
 from onsagergeo import connection
 from onsagergeo.acceptance import (
@@ -233,6 +234,16 @@ def test_distance_zero_and_symmetry():
     d_ba = distance(LATTICE, KL, b, a)
     assert d_ab == pytest.approx(0.21353544999371732, rel=1e-6)
     assert abs(d_ab - d_ba) < 1e-5
+
+
+def test_distance_between_close_points_is_the_metric_length():
+    # 2e-6 apart is within numpy's default rtol of allclose, but not equal:
+    # the distance is the metric length of v = p1 - p0 to first order
+    chain = triangle_reaction_chain()
+    p0 = np.array([0.5, 0.3, 0.2])
+    v = np.array([2e-6, -2e-6, 0.0])
+    length = np.sqrt(v @ pseudo_inverse(response_at(chain, KL, p0)) @ v)
+    assert distance(chain, KL, p0, p0 + v) == pytest.approx(length, rel=1e-3)
 
 
 def test_distance_triangle_inequality():

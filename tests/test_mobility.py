@@ -348,10 +348,16 @@ BAD_PARAMETERS = [
     ({"kind": "alpha", "alpha": 2.0, "c": "3", "convention": "scaled"}, "c",
      "must be a number, got '3'"),
     ({"kind": "kl", "c": False, "convention": "scaled"}, "c", "must be a number, got False"),
+    # the pi convention takes its ratio constants from the chain
+    ({"kind": "kl", "c": 3}, "c", "applies to the scaled convention only"),
+    ({"kind": "geometric", "c": 5}, "c", "applies to the scaled convention only"),
+    ({"kind": "alpha", "alpha": 2.0, "c": 3.0, "convention": "pi"}, "c",
+     "applies to the scaled convention only"),
 ]
 BAD_IDS = ["alpha-nan", "alpha-inf", "alpha-minus-inf", "alpha-string", "alpha-bool",
            "alpha-none", "beta-nan", "beta-bool", "beta-list", "geometric-c-inf", "kl-c-nan",
-           "kl-c-inf", "alpha-c-string", "kl-c-bool"]
+           "kl-c-inf", "alpha-c-string", "kl-c-bool", "kl-c-pi", "geometric-c-pi",
+           "alpha-c-pi"]
 
 
 @pytest.mark.parametrize("spec,name,fault", BAD_PARAMETERS, ids=BAD_IDS)
@@ -499,3 +505,42 @@ def test_edge_arrays_match_the_matrices_and_finite_differences(model):
         mixed = (theta_at(P + ea + eb) - theta_at(P + ea - eb)
                  - theta_at(P - ea + eb) + theta_at(P - ea - eb)) / (4 * h2**2)
         assert_allclose(s_ij[:, e], mixed[:, e], rtol=1e-4, atol=1e-4)
+
+
+# (a fresh model, the names of its constructor parameters)
+FAMILIES = [
+    (lambda: KLLogMean(), {"convention", "c"}),
+    (lambda: AlphaMean(2.0, convention="scaled", c=5.0), {"alpha", "convention", "c"}),
+    (lambda: GeometricMean(0.7), {"beta", "convention", "c"}),
+    (lambda: GeometricMean(1.0, c=9.0, convention="scaled"), {"beta", "convention", "c"}),
+    (lambda: CustomMean(lambda chain, p: np.sqrt(np.outer(p, p)) + 0.1), {"theta_fn", "f"}),
+]
+
+
+@pytest.mark.parametrize("fresh,params", FAMILIES,
+                         ids=["kl", "alpha-scaled", "geometric", "geometric-scaled", "custom"])
+def test_models_hold_no_chain_state(fresh, params):
+    # one model on chains A, B, A in turn gives the bits of a fresh model on
+    # each, and keeps nothing of them
+    rng = np.random.default_rng(29)
+    chains = [random_reversible_chain(rng, 4), random_reversible_chain(rng, 5)]
+    points = [np.array([random_interior_point(rng, ch.n) for _ in range(2)]) for ch in chains]
+    for P, chain in zip(points, chains):
+        # row 1 on the Taylor branch of a divergence mean in the pi convention
+        P[1, 1] = P[1, 0] / chain.pi[0] * chain.pi[1]
+        P[1] /= P[1].sum()
+
+    def evaluations(model, chain, P):
+        out = [model.theta_edges(chain, P), *model.theta_d1_edges(chain, P),
+               *model.d2_edges(chain, P)]
+        if model.has_divergence:
+            out += [model.divergence(chain, P), model.divergence_gradient(chain, P),
+                    model.divergence_hessian_diag(chain, P)]
+        return out
+
+    model = fresh()
+    for k in (0, 1, 0):
+        got = evaluations(model, chains[k], points[k])
+        want = evaluations(fresh(), chains[k], points[k])
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+    assert set(vars(model)) == params
