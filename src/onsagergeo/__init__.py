@@ -16,23 +16,19 @@ from .errors import (
     DetailedBalanceViolation,
     DisconnectedGraph,
     EqualComponents,
+    FloatingPointFailure,
     NearSingular,
     NoDivergenceDefined,
     NonconvexF,
     OnsagerGeoError,
     StepLeavesSimplex,
-    UnsupportedVertex,
 )
 from .chains import (
-    EdgeField,
     PRESETS,
     ReversibleChain,
     build_reversible_chain,
     chain_from_rates,
-    div_omega,
     grad_matrix,
-    grad_omega,
-    laplacian_omega,
     lattice3_chain,
     preset_chain,
     triangle_reaction_chain,
@@ -45,13 +41,7 @@ from .mobility import (
     MobilityModel,
     as_simplex_point,
     check_interior,
-    constant_mobility,
-    f_divergence,
-    f_divergence_gradient,
     model_from_spec,
-    theta,
-    theta_partial,
-    theta_second_partial,
 )
 from .metric import (
     arc_length,
@@ -61,7 +51,6 @@ from .metric import (
     eigensystem,
     frame_potentials,
     inner_product,
-    inner_product_edges,
     mean_zero,
     orthonormal_frame,
     pseudo_inverse,
@@ -85,14 +74,9 @@ from .connection import (
     GeodesicRecord,
     SampledPath,
     TransportState,
-    commutator,
-    contract_d1,
-    directional_theta,
-    gamma_op,
     geodesic_bvp,
     geodesic_ivp,
     hessian_form,
-    koszul_scalar,
     levi_civita,
     parallel_transport,
 )

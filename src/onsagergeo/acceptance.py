@@ -13,7 +13,7 @@ import numpy as np
 from .chains import build_reversible_chain, grad_matrix, triangle_reaction_chain
 from .connection import (
     GeodesicPath,
-    commutator,
+    PointGeometry,
     geodesic_bvp,
     geodesic_ivp,
     hessian_form,
@@ -150,7 +150,7 @@ def criterion_3(seed=0):
         phi1, phi2, phi3 = (random_potential(rng, n) for _ in range(3))
         n12 = levi_civita(chain, model, phi1, phi2, p).vector
         n21 = levi_civita(chain, model, phi2, phi1, p).vector
-        torsion = n12 - n21 - commutator(chain, model, phi1, phi2, p)
+        torsion = n12 - n21 - PointGeometry(chain, model, p).commutator(phi1, phi2)
         worst_torsion = max(worst_torsion, np.abs(torsion).max())
         theta_mat = model.theta_matrix(chain, p)
         d1 = model.d1_matrix(chain, p)

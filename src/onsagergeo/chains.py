@@ -1,5 +1,6 @@
-"""Reversible Markov chains as weighted graphs, plus the discrete calculus
-(gradient, divergence, Laplacian) everything else is built on.
+"""Reversible Markov chains as weighted graphs, and the edge arrays (gathers,
+edge differences, vertex sums, the incidence product) and weighted gradient
+everything else is built on.
 
 A chain is specified by its off-diagonal rate matrix Q.  The stationary
 distribution pi is computed, reversibility (detailed balance) is verified, and
@@ -111,25 +112,6 @@ class ReversibleChain:
 
     def __repr__(self):
         return f"ReversibleChain(n={self.n}, edges={len(self.edges)})"
-
-
-class EdgeField:
-    """An antisymmetric function on the ordered edges of a chain.
-
-    Stored as a full matrix with `values[i, j] = -values[j, i]` and zeros off
-    the edge set; indexing an ordered pair returns the signed value.
-    """
-
-    def __init__(self, chain, values):
-        values = np.asarray(values, dtype=float)
-        if not np.allclose(values, -values.T, atol=1e-12 * (1 + np.abs(values).max())):
-            raise ValueError("edge field must be antisymmetric")
-        self.chain = chain
-        self.values = np.where(chain.edge_mask, values, 0.0)
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.values[i, j]
 
 
 def _connected(mask):
@@ -346,31 +328,8 @@ def edge_matrix(chain, values, fill=0.0):
     return out
 
 
-# -- discrete calculus -------------------------------------------------------
-
-def grad_omega(chain, phi) -> EdgeField:
-    """Weighted graph gradient: (grad phi)_ij = sqrt(omega_ij) (phi_j - phi_i)."""
-    phi = np.asarray(phi, dtype=float)
-    return EdgeField(chain, grad_matrix(chain, phi))
-
-
 def grad_matrix(chain, phi):
-    """Gradient as a raw antisymmetric matrix (hot path, no wrapper); one per
-    potential for a stack of shape (..., n)."""
+    """Weighted graph gradient as an antisymmetric matrix,
+    (grad phi)_ij = sqrt(omega_ij) (phi_j - phi_i), zero off the edge set; one
+    per potential for a stack of shape (..., n)."""
     return chain.sqrt_omega * (phi[..., None, :] - phi[..., None])
-
-
-def div_omega(chain, v):
-    """Weighted divergence: div(v)_i = sum_{j in N(i)} sqrt(omega_ij) v_ij.
-
-    Adjoint to the gradient: sum_i phi_i div(v)_i
-    = -1/2 sum_{ordered (i,j)} (grad phi)_ij v_ij.
-    """
-    m = v.values if isinstance(v, EdgeField) else np.asarray(v, dtype=float)
-    return (chain.sqrt_omega * m).sum(axis=1)
-
-
-def laplacian_omega(chain, phi):
-    """div(grad(phi)); negative semidefinite, kernel = constants."""
-    phi = np.asarray(phi, dtype=float)
-    return div_omega(chain, grad_matrix(chain, phi))

@@ -18,7 +18,7 @@ from .connection import (
 )
 from .curvature import curvature_report
 from .dynamics import integrate
-from .errors import OnsagerGeoError
+from .errors import FloatingPointFailure, OnsagerGeoError
 from .lattice3 import SWEEP_COLUMNS, lattice3_sweep
 from .metric import mean_zero
 from .mobility import as_simplex_point, model_from_spec
@@ -366,7 +366,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        # numpy raises where it would print a warning, so every failure is the
+        # one stderr line below
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            try:
+                return args.func(args)
+            except FloatingPointError as exc:
+                raise FloatingPointFailure(str(exc)) from None
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

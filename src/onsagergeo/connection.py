@@ -9,7 +9,6 @@ import numpy as np
 
 from .chains import (
     edge_difference,
-    edge_matrix,
     end_sum,
     gather,
     grad_matrix,
@@ -26,16 +25,9 @@ from .metric import (
     pseudo_inverse,
     response_at,
     response_from_edges,
+    sampled_curve,
 )
-from .mobility import check_interior
-
-
-def contract_d1(d1, vec):
-    """The dense form of `PointGeometry.dtheta`: contract a matrix of theta
-    partials (or a stack of shape (..., n, n)) against a vertex vector (or
-    each vector of a stack, shape (..., n)):
-    out_ij = (d theta_ij/d p_i) vec_i + (d theta_ij/d p_j) vec_j."""
-    return d1 * vec[..., None] + d1.mT * vec[..., None, :]
+from .mobility import check_interior, check_potential
 
 
 def _matvec(M, v):
@@ -192,25 +184,6 @@ class PointGeometry:
                 - self.nabla_theta_L(phi_b, phi_a))
 
 
-def directional_theta(chain, model, phi, p):
-    """First directional derivative of theta along V_phi (symmetric edge matrix)."""
-    geo = PointGeometry(chain, model, p)
-    return edge_matrix(chain, geo.dtheta(geo.velocity(np.asarray(phi, dtype=float)))[None])
-
-
-def gamma_op(chain, model, phi1, phi2, p):
-    """Gamma(phi1, phi2, p)_i = sum_j (grad phi1)_ij (grad phi2)_ij dtheta_ij/dp_i."""
-    return PointGeometry(chain, model, p).gamma(np.asarray(phi1, dtype=float),
-                                                np.asarray(phi2, dtype=float))
-
-
-def commutator(chain, model, phi1, phi2, p):
-    """Lie bracket of the fields V_phi1, V_phi2 (potentials held fixed):
-    [V1, V2] = L(V_1 theta) phi2 - L(V_2 theta) phi1."""
-    return PointGeometry(chain, model, p).commutator(np.asarray(phi1, dtype=float),
-                                                     np.asarray(phi2, dtype=float))
-
-
 @dataclass
 class ConnectionValue:
     """The covariant derivative as a tangent vector, with the optional scalar
@@ -227,24 +200,14 @@ def levi_civita(chain, model, phi1, phi2, p, phi3=None) -> ConnectionValue:
     The reference for the W-form transport rate `_transport_rate`, which
     never calls it."""
     geo = PointGeometry(chain, model, p)
-    phi1 = np.asarray(phi1, dtype=float)
-    phi2 = np.asarray(phi2, dtype=float)
+    phi1 = check_potential(phi1, chain.n)
+    phi2 = check_potential(phi2, chain.n)
     vec = 0.5 * (geo.commutator(phi1, phi2) + geo.L @ geo.gamma(phi1, phi2))
     scalar = None
     if phi3 is not None:
         # <vec, V3> = vec^T R L phi3 = vec^T phi3 because vec is mean-orthogonal
-        scalar = float(vec @ (np.asarray(phi3, dtype=float)))
+        scalar = float(vec @ check_potential(phi3, chain.n))
     return ConnectionValue(vector=vec, scalar_form=scalar)
-
-
-def koszul_scalar(chain, model, phi1, phi2, phi3, p):
-    """<nabla_{V1} V2, V3> written purely through Gamma:
-    1/2 ( phi1^T L Gamma(2,3) - phi2^T L Gamma(1,3) + phi3^T L Gamma(1,2) )."""
-    geo = PointGeometry(chain, model, p)
-    phi1, phi2, phi3 = (np.asarray(f, dtype=float) for f in (phi1, phi2, phi3))
-    return 0.5 * float(phi1 @ geo.L @ geo.gamma(phi2, phi3)
-                       - phi2 @ geo.L @ geo.gamma(phi1, phi3)
-                       + phi3 @ geo.L @ geo.gamma(phi1, phi2))
 
 
 # -- geodesics -----------------------------------------------------------------
@@ -313,11 +276,6 @@ def _speeds(chain, model, states, pots):
         q = (chain.edge_omega * model.theta_edges(chain, states[rows]) * d * d).sum(axis=-1)
         speeds[rows] = np.sqrt(np.maximum(q, 0.0))
     return speeds
-
-
-def _speed(chain, model, p, phi):
-    """The speed at one point: the one-row case of `_speeds`."""
-    return float(_speeds(chain, model, np.asarray(p)[None], np.asarray(phi)[None])[0])
 
 
 def geodesic_ivp(chain, model, p0, phi0, T, dt) -> GeodesicRecord:
@@ -488,7 +446,8 @@ class GeodesicPath:
 @dataclass
 class SampledPath:
     """Transport along a sampled curve; the driving potential is recovered as
-    Phi = R(theta) dgamma/dt with central differences."""
+    Phi = R(theta) dgamma/dt with central differences.  Two samples at
+    least, at strictly increasing times; states are (len(times), n)."""
 
     times: np.ndarray
     states: np.ndarray
@@ -648,8 +607,7 @@ def parallel_transport(chain, model, path, eta0, dt):
         return [state(t, y[:n], y[n:2 * n], y[2 * n:]) for t, y in zip(times, table)]
 
     if isinstance(path, SampledPath):
-        times = np.asarray(path.times, dtype=float)
-        states = np.asarray(path.states, dtype=float)
+        times, states = sampled_curve(chain, path.times, path.states)
         pots = mean_zero(metric_action(chain, model, states, curve_velocity(times, states)))
 
         def at(t, samples):
@@ -683,8 +641,8 @@ def hessian_form(chain, model, F: Energy, phi1, phi2, p, route="matrix"):
     Gamma terms; an independent reference that the matrix route must match.
     """
     geo = PointGeometry(chain, model, p)
-    phi1 = np.asarray(phi1, dtype=float)
-    phi2 = np.asarray(phi2, dtype=float)
+    phi1 = check_potential(phi1, chain.n)
+    phi2 = check_potential(phi2, chain.n)
     L = geo.L
     grad_f = F.gradient(geo.p)
     second = float(phi1 @ L @ F.hessian(geo.p) @ L @ phi2)

@@ -14,7 +14,7 @@ from .chains import edge_difference, edge_matrix, grad_matrix, incidence
 from .connection import PointGeometry
 from .errors import DegeneratePlane
 from .metric import frame_potentials, pseudo_inverse, response_at
-from .mobility import check_interior
+from .mobility import check_interior, check_potential
 
 # The sign convention for the m-matrix that matches both the chart oracle and
 # the 3-lattice closed forms: m = -2 W - (unhalved) directional contractions.
@@ -37,8 +37,8 @@ class SecondDirectional:
 
 def second_directional(chain, model, phi1, phi2, p) -> SecondDirectional:
     geo = PointGeometry(chain, model, p)
-    phi1 = np.asarray(phi1, dtype=float)
-    phi2 = np.asarray(phi2, dtype=float)
+    phi1 = check_potential(phi1, chain.n)
+    phi2 = check_potential(phi2, chain.n)
     W = geo.second_theta(phi1, phi2)
     n12 = geo.nabla_theta_L(phi1, phi2)
     W, n12, sum12, m = (edge_matrix(chain, e[None]) for e in (W, n12, W + n12, geo.m(phi1, phi2)))
@@ -52,7 +52,7 @@ def gamma3(chain, model, phi1, phi2, phi3, phi4, p):
     Gamma3_ij = 1/2 sum_k sqrt(w_ik) (A_kj - A_ij) (grad phi3)_ik theta_ik.
     """
     geo = PointGeometry(chain, model, p)
-    phi1, phi2, phi3, phi4 = (np.asarray(f, dtype=float) for f in (phi1, phi2, phi3, phi4))
+    phi1, phi2, phi3, phi4 = (check_potential(f, chain.n) for f in (phi1, phi2, phi3, phi4))
     theta_mat, d1 = model.theta_d1_matrices(chain, geo.p)
     return _gamma3_core(chain, theta_mat, d1, geo.gamma(phi1, phi2),
                         grad_matrix(chain, phi3), grad_matrix(chain, phi4))
@@ -187,7 +187,7 @@ def _riemann_explicit(geo: PointGeometry, phis):
 def riemann(chain, model, phi1, phi2, phi3, phi4, p, route="assembled"):
     """<R(V_phi1, V_phi2) V_phi3, V_phi4> at p."""
     geo = PointGeometry(chain, model, p)
-    phis = [np.asarray(f, dtype=float) for f in (phi1, phi2, phi3, phi4)]
+    phis = [check_potential(f, chain.n) for f in (phi1, phi2, phi3, phi4)]
     if route == "assembled":
         return float(_riemann_assembled(geo, phis)[0, 1, 2, 3])
     if route == "explicit":
@@ -198,8 +198,8 @@ def riemann(chain, model, phi1, phi2, phi3, phi4, p, route="assembled"):
 def sectional(chain, model, phi1, phi2, p):
     """Sectional curvature of the plane spanned by V_phi1, V_phi2."""
     geo = PointGeometry(chain, model, p)
-    phi1 = np.asarray(phi1, dtype=float)
-    phi2 = np.asarray(phi2, dtype=float)
+    phi1 = check_potential(phi1, chain.n)
+    phi2 = check_potential(phi2, chain.n)
     a11 = float(phi1 @ geo.L @ phi1)
     a22 = float(phi2 @ geo.L @ phi2)
     a12 = float(phi1 @ geo.L @ phi2)
@@ -272,7 +272,7 @@ def oracle_contraction(chain, model, phi1, phi2, phi3, phi4, p, lowered=None):
     if lowered is None:
         lowered = chart_curvature_oracle(chain, model, p)
     L = response_at(chain, model, p)
-    v = [(L @ np.asarray(f, dtype=float))[:-1] for f in (phi1, phi2, phi3, phi4)]
+    v = [(L @ check_potential(f, chain.n))[:-1] for f in (phi1, phi2, phi3, phi4)]
     return float(np.einsum("ijkl,i,j,k,l->", lowered, v[3], v[2], v[0], v[1]))
 
 

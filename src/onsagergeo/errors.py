@@ -30,11 +30,6 @@ class NonconvexF(OnsagerGeoError):
     """f'' <= 0 was encountered while evaluating a mean function."""
 
 
-class UnsupportedVertex(OnsagerGeoError):
-    """A theta partial derivative was requested at a vertex the edge does not
-    touch (theta_ij depends only on p_i and p_j)."""
-
-
 class NoDivergenceDefined(OnsagerGeoError):
     """The mobility model has no paired divergence (geometric means)."""
 
@@ -67,3 +62,9 @@ class DegeneratePlane(OnsagerGeoError):
 class EqualComponents(OnsagerGeoError):
     """A closed-form expression is singular because two adjacent probability
     components coincide."""
+
+
+class FloatingPointFailure(OnsagerGeoError):
+    """A floating-point operation overflowed, divided by zero or gave an
+    invalid result (the CLI's commands run with numpy raising on these; a
+    model parameter too large for double precision overflows)."""

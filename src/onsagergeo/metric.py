@@ -3,7 +3,7 @@ products, orthonormal frames, arc length, and geodesic distance."""
 
 import numpy as np
 
-from .chains import edge_matrix, grad_matrix
+from .chains import edge_matrix
 from .errors import NearSingular
 
 KERNEL_RTOL = 1e-12  # eigenvalues below KERNEL_RTOL * lambda_max count as kernel
@@ -167,14 +167,6 @@ def inner_product(chain, theta_mat, phi1, phi2):
     return float(phi1 @ response_matrix(chain, theta_mat) @ phi2)
 
 
-def inner_product_edges(chain, theta_mat, phi1, phi2):
-    """Same inner product as an ordered-pair edge sum:
-    1/2 sum_(i,j) (grad phi1)_ij (grad phi2)_ij theta_ij."""
-    g1 = grad_matrix(chain, np.asarray(phi1, dtype=float))
-    g2 = grad_matrix(chain, np.asarray(phi2, dtype=float))
-    return float(0.5 * np.sum(g1 * g2 * theta_mat))
-
-
 def orthonormal_frame(L):
     """Tangent vectors e_k = sqrt(lambda_k) u_k, k = 1..n-1, orthonormal in the
     metric <x, y> = x^T R y.  Returned as rows of an (n-1, n) array."""
@@ -200,18 +192,33 @@ def curve_velocity(times, states):
     return v
 
 
+def sampled_curve(chain, times, states):
+    """The times and states of a sampled curve as arrays, raising ValueError
+    unless there are two samples at least, the times strictly increase and
+    the states are (len(times), n)."""
+    times = np.asarray(times, dtype=float)
+    states = np.asarray(states, dtype=float)
+    if times.ndim != 1 or len(times) < 2:
+        raise ValueError(f"a sampled curve needs two samples at least, "
+                         f"got times of shape {times.shape}")
+    if not (np.diff(times) > 0).all():
+        raise ValueError("time grid must be strictly increasing")
+    if states.shape != (len(times), chain.n):
+        raise ValueError(f"states must have shape {(len(times), chain.n)}, "
+                         f"got {states.shape}")
+    return times, states
+
+
 def arc_length(chain, model, times, states):
     """Length of a sampled curve: quadrature of sqrt(pdot^T R(theta) pdot).
 
     Simpson's rule on uniform grids, trapezoid otherwise; velocities by
-    central differences.
+    central differences.  One sample has length zero; more are checked by
+    `sampled_curve`.
     """
-    times = np.asarray(times, dtype=float)
-    states = np.asarray(states, dtype=float)
     if len(times) < 2:
         return 0.0
-    if not (np.diff(times) > 0).all():
-        raise ValueError("time grid must be strictly increasing")
+    times, states = sampled_curve(chain, times, states)
     vel = curve_velocity(times, states)
     speeds = np.sqrt(np.maximum((vel * metric_action(chain, model, states, vel)).sum(axis=-1), 0.0))
     steps = np.diff(times)

@@ -30,12 +30,7 @@ import numbers
 import numpy as np
 
 from .chains import INCIDENCE, edge_matrix, gather
-from .errors import (
-    BoundaryPoint,
-    NonconvexF,
-    NoDivergenceDefined,
-    UnsupportedVertex,
-)
+from .errors import BoundaryPoint, NonconvexF, NoDivergenceDefined
 
 EPS_BOUNDARY = 1e-9   # interior margin for simplex points
 DELTA_RATIO = 1e-7    # |z_i - z_j| below which the Taylor branch is used
@@ -53,6 +48,17 @@ def check_interior(p, eps=EPS_BOUNDARY):
             raise BoundaryPoint(f"point has a non-finite entry ({p})")
         raise BoundaryPoint(f"point touches the simplex boundary (min entry {p.min():.3e})")
     return p
+
+
+def check_potential(phi, n):
+    """Return phi as an array, raising ValueError unless it holds n entries
+    (or n per potential of a stack), every one finite."""
+    phi = np.asarray(phi, dtype=float)
+    if phi.shape[-1:] != (n,):
+        raise ValueError(f"potential must have {n} entries, got shape {phi.shape}")
+    if not np.isfinite(phi).all():
+        raise ValueError(f"potential has a non-finite entry ({phi})")
+    return phi
 
 
 def model_parameter(name, value):
@@ -482,50 +488,6 @@ class CustomMean(MobilityModel):
             return super().divergence_hessian_diag(chain, p)
         p = check_interior(p)
         return self.f[2](p / chain.pi) / chain.pi
-
-
-def constant_mobility():
-    """theta identically one on every edge (flat metric); handy in tests."""
-    return CustomMean(lambda chain, p: np.ones((chain.n, chain.n)))
-
-
-# -- operation-style wrappers -------------------------------------------------
-
-def theta(model, chain, p):
-    """The symmetric edge matrix theta_ij(p)."""
-    return model.theta_matrix(chain, p)
-
-
-def theta_partial(model, chain, p, edge, k):
-    """d theta_ij / d p_k for k in {i, j}."""
-    i, j = edge
-    if k == i:
-        return float(model.d1_matrix(chain, p)[i, j])
-    if k == j:
-        return float(model.d1_matrix(chain, p)[j, i])
-    raise UnsupportedVertex(f"theta_{i}{j} does not depend on p_{k}")
-
-
-def theta_second_partial(model, chain, p, edge, kl):
-    """d^2 theta_ij / (d p_k d p_l) for k, l in {i, j}."""
-    i, j = edge
-    k, l = kl
-    if {k, l} - {i, j}:
-        raise UnsupportedVertex(f"theta_{i}{j} does not depend on p_{{{k},{l}}}")
-    s_ii, s_ij = model.d2_matrices(chain, p)
-    if k == l:
-        return float(s_ii[k, j if k == i else i])
-    return float(s_ij[i, j])
-
-
-def f_divergence(model, chain, p):
-    """D_f(p || reference) = sum_i w_i f(p_i / w_i); >= 0, zero at p = reference."""
-    return model.divergence(chain, p)
-
-
-def f_divergence_gradient(model, chain, p):
-    """Euclidean gradient (f'(z_i))_i of the divergence."""
-    return model.divergence_gradient(chain, p)
 
 
 # -- config ingestion ----------------------------------------------------------

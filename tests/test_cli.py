@@ -425,6 +425,24 @@ def test_a_generator_with_an_infinite_diagonal_is_a_config_error(tmp_path):
                            "array must not contain infs or NaNs\n")
 
 
+@pytest.mark.parametrize("model", [{"kind": "alpha", "alpha": 1e308},
+                                   {"kind": "alpha", "alpha": -1e308},
+                                   {"kind": "geometric", "beta": 1e308},
+                                   {"kind": "geometric", "beta": -1e308}],
+                         ids=["alpha-huge", "alpha-tiny", "beta-huge", "beta-tiny"])
+def test_an_overflowing_model_exits_with_one_line(tmp_path, model):
+    # in a subprocess, so that a numpy warning would reach stderr as it does
+    # for a user
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"model": model, "point": [0.5, 0.3, 0.2]}))
+    proc = subprocess.run([sys.executable, "-m", "onsagergeo", "analyze", "--preset",
+                           "triangle-reaction", "--config", str(path)],
+                          env=source_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == ["FloatingPointFailure: overflow encountered in power"]
+
+
 NO_SCIPY_SCRIPT = """
 import json, sys
 from pathlib import Path

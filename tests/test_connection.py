@@ -13,21 +13,18 @@ from onsagergeo import (
     KLLogMean,
     NearSingular,
     SampledPath,
-    commutator,
     deflated_solve,
-    directional_theta,
     divergence_energy,
-    gamma_op,
     geodesic_bvp,
     geodesic_ivp,
     hessian_form,
     inner_product,
-    koszul_scalar,
     lattice3_chain,
     levi_civita,
     parallel_transport,
     pseudo_inverse,
     response_matrix,
+    triangle_reaction_chain,
 )
 from onsagergeo.acceptance import (
     _scaled_potential,
@@ -45,13 +42,13 @@ from onsagergeo.connection import (
     _matvec,
     _mean_zero_basis,
     _shooting_jacobian,
-    _speed,
+    _speeds,
     _transport_rate,
-    contract_d1,
 )
 from onsagergeo.dynamics import integrate
 from onsagergeo.errors import StepLeavesSimplex
 from onsagergeo.mobility import EPS_BOUNDARY
+from oracles import contract_d1, koszul_scalar
 
 LATTICE = lattice3_chain()
 KL = KLLogMean()
@@ -72,9 +69,9 @@ def test_gamma_vanishing_cases():
     chain, p = _case(rng)
     const = np.full(chain.n, 1.7)
     phi = random_potential(rng, chain.n)
-    assert_allclose(gamma_op(chain, KL, const, phi, p), 0.0, atol=1e-15)
+    assert_allclose(PointGeometry(chain, KL, p).gamma(const, phi), 0.0, atol=1e-15)
     flat = AlphaMean(3.0)  # theta identically one
-    assert np.abs(gamma_op(chain, flat, phi, phi, p)).max() < 1e-12
+    assert np.abs(PointGeometry(chain, flat, p).gamma(phi, phi)).max() < 1e-12
 
 
 def test_gamma_is_symmetric():
@@ -83,8 +80,8 @@ def test_gamma_is_symmetric():
         chain, p = _case(rng)
         phi1 = random_potential(rng, chain.n)
         phi2 = random_potential(rng, chain.n)
-        assert np.array_equal(gamma_op(chain, KL, phi1, phi2, p),
-                              gamma_op(chain, KL, phi2, phi1, p))
+        geo = PointGeometry(chain, KL, p)
+        assert np.array_equal(geo.gamma(phi1, phi2), geo.gamma(phi2, phi1))
 
 
 def test_gamma_pairing_identity():
@@ -95,9 +92,9 @@ def test_gamma_pairing_identity():
             chain, p = _case(rng)
             phi1, phi2, phi3 = (random_potential(rng, chain.n) for _ in range(3))
             L = response_matrix(chain, model.theta_matrix(chain, p))
-            lhs = float(phi1 @ response_matrix(
-                chain, directional_theta(chain, model, phi3, p)) @ phi2)
-            rhs = float((L @ phi3) @ gamma_op(chain, model, phi1, phi2, p))
+            geo = PointGeometry(chain, model, p)
+            lhs = float(phi1 @ geo.dL(phi3) @ phi2)
+            rhs = float((L @ phi3) @ geo.gamma(phi1, phi2))
             assert lhs == pytest.approx(rhs, abs=1e-10 * (1 + abs(lhs)))
 
 
@@ -110,11 +107,12 @@ def test_directional_theta_matches_fd():
         v = response_matrix(chain, KL.theta_matrix(chain, p)) @ phi
         fd = (KL.theta_matrix(chain, p + eps * v)
               - KL.theta_matrix(chain, p - eps * v)) / (2 * eps)
-        d = directional_theta(chain, KL, phi, p)
+        geo = PointGeometry(chain, KL, p)
+        d = edge_matrix(chain, geo.dtheta(geo.velocity(phi))[None])
         assert_allclose(d, fd, atol=1e-6 * (1 + abs(d).max()))
         assert_allclose(d, d.T, atol=1e-12 * (1 + abs(d).max()))
     const = np.ones(chain.n)
-    assert_allclose(directional_theta(chain, KL, const, p), 0.0, atol=1e-15)
+    assert_allclose(geo.dtheta(geo.velocity(const)), 0.0, atol=1e-15)
 
 
 def test_commutator_basics():
@@ -122,12 +120,13 @@ def test_commutator_basics():
     chain, p = _case(rng)
     phi1 = random_potential(rng, chain.n)
     phi2 = random_potential(rng, chain.n)
-    assert_allclose(commutator(chain, KL, phi1, phi1, p), 0.0, atol=1e-14)
-    c12 = commutator(chain, KL, phi1, phi2, p)
-    c21 = commutator(chain, KL, phi2, phi1, p)
+    geo = PointGeometry(chain, KL, p)
+    assert_allclose(geo.commutator(phi1, phi1), 0.0, atol=1e-14)
+    c12 = geo.commutator(phi1, phi2)
+    c21 = geo.commutator(phi2, phi1)
     assert_allclose(c12, -c21, atol=1e-14 * (1 + abs(c12).max()))
     flat = AlphaMean(3.0)
-    assert np.abs(commutator(chain, flat, phi1, phi2, p)).max() < 1e-12
+    assert np.abs(PointGeometry(chain, flat, p).commutator(phi1, phi2)).max() < 1e-12
 
 
 def test_commutator_matches_flow_composition():
@@ -143,7 +142,7 @@ def test_commutator_matches_flow_composition():
             return q + eps * response_matrix(chain, KL.theta_matrix(chain, q)) @ phi
 
         fd = (flow(flow(p, phi1), phi2) - flow(flow(p, phi2), phi1)) / eps**2
-        c = commutator(chain, KL, phi1, phi2, p)
+        c = PointGeometry(chain, KL, p).commutator(phi1, phi2)
         assert_allclose(c, fd, atol=1e-3 * (1 + abs(c).max()))
 
 
@@ -156,7 +155,7 @@ def test_connection_is_torsion_free():
             phi2 = random_potential(rng, chain.n)
             d12 = levi_civita(chain, model, phi1, phi2, p).vector
             d21 = levi_civita(chain, model, phi2, phi1, p).vector
-            c = commutator(chain, model, phi1, phi2, p)
+            c = PointGeometry(chain, model, p).commutator(phi1, phi2)
             assert_allclose(d12 - d21, c, atol=1e-10 * (1 + abs(c).max()))
 
 
@@ -168,7 +167,7 @@ def test_connection_symmetric_part():
     L = response_matrix(chain, KL.theta_matrix(chain, p))
     total = (levi_civita(chain, KL, phi1, phi2, p).vector
              + levi_civita(chain, KL, phi2, phi1, p).vector)
-    expected = L @ gamma_op(chain, KL, phi1, phi2, p)
+    expected = L @ PointGeometry(chain, KL, p).gamma(phi1, phi2)
     assert_allclose(total, expected, atol=1e-12 * (1 + abs(expected).max()))
 
 
@@ -477,7 +476,8 @@ def test_speeds_are_computed_on_first_read():
     phi0 = _scaled_potential(LATTICE, KL, UNIFORM, rng.normal(size=3), speed=0.05)
     rec = geodesic_ivp(LATTICE, KL, UNIFORM, phi0, 0.1, 0.01)
     assert "speeds" not in vars(rec)
-    want = [_speed(LATTICE, KL, p, phi) for p, phi in zip(rec.states, rec.potentials)]
+    want = [_speeds(LATTICE, KL, p[None], phi[None])[0]
+            for p, phi in zip(rec.states, rec.potentials)]
     assert np.array_equal(rec.speeds, want)
     assert rec.speeds is rec.speeds
 
@@ -564,6 +564,30 @@ def test_transport_input_validation():
     with pytest.raises(TypeError, match="GeodesicPath or a SampledPath"):
         parallel_transport(LATTICE, KL, (np.arange(3), np.eye(3)),
                            np.zeros(3), 0.1)
+
+
+@pytest.mark.parametrize("times,states,message", [
+    ([0.0], [UNIFORM], "two samples at least"),
+    ([0.0, 0.0, 1.0], [UNIFORM] * 3, "strictly increasing"),
+    ([0.0, 0.5, 1.0], [UNIFORM] * 2, r"states must have shape \(3, 3\), got \(2, 3\)"),
+    ([0.0, 1.0], [UNIFORM[:2]] * 2, r"states must have shape \(2, 3\), got \(2, 2\)"),
+], ids=["one-sample", "repeated-time", "fewer-states", "short-states"])
+def test_sampled_path_checks_its_samples(times, states, message):
+    chain = triangle_reaction_chain()
+    eta0 = np.array([1.0, 0.0, -1.0])
+    with pytest.raises(ValueError, match=message):
+        parallel_transport(chain, KL, SampledPath(np.array(times), np.array(states)), eta0, 0.1)
+
+
+def test_connection_entry_points_check_their_potentials():
+    phi = np.array([0.1, 0.0, -0.1])
+    for bad, message in (([np.nan, 0.0, 0.0], "non-finite"), ([0.1, -0.1], "3 entries")):
+        with pytest.raises(ValueError, match=message):
+            levi_civita(LATTICE, KL, bad, phi, UNIFORM)
+        with pytest.raises(ValueError, match=message):
+            levi_civita(LATTICE, KL, phi, phi, UNIFORM, phi3=bad)
+        with pytest.raises(ValueError, match=message):
+            hessian_form(LATTICE, KL, divergence_energy(KL, LATTICE), phi, bad, UNIFORM)
 
 
 def test_hessian_routes_and_symmetry():
@@ -669,7 +693,7 @@ def test_stacked_speeds_match_row_by_row():
                         for _ in range(2)])
         rec = geodesic_ivp(chain, model, p, Phi, 0.5, 0.01)
         n = chain.n
-        want = [_speed(chain, model, q, f)
+        want = [_speeds(chain, model, q[None], f[None])[0]
                 for q, f in zip(rec.states.reshape(-1, n), rec.potentials.reshape(-1, n))]
         want = np.reshape(want, rec.states.shape[:-1])
         assert_allclose(rec.speeds, want, rtol=0, atol=1e-14 * abs(want).max())

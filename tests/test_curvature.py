@@ -8,9 +8,7 @@ from onsagergeo import (
     DegeneratePlane,
     GeometricMean,
     KLLogMean,
-    constant_mobility,
     curvature_report,
-    directional_theta,
     gamma3,
     grad_matrix,
     lattice3_chain,
@@ -29,10 +27,11 @@ from onsagergeo.acceptance import (
     random_potential,
     random_reversible_chain,
 )
-from onsagergeo.chains import build_reversible_chain
-from onsagergeo.connection import PointGeometry, contract_d1
+from onsagergeo.chains import build_reversible_chain, edge_matrix
+from onsagergeo.connection import PointGeometry
 from onsagergeo.curvature import _riemann_explicit
 from onsagergeo.metric import frame_potentials
+from oracles import constant_mobility, contract_d1
 
 LATTICE = lattice3_chain()
 KL = KLLogMean()
@@ -55,8 +54,12 @@ def test_theta_second_matches_fd():
         chain, p, phis = _case(rng)
         phi1, phi2 = phis[:2]
         v1 = response_matrix(chain, KL.theta_matrix(chain, p)) @ phi1
-        fd = (directional_theta(chain, KL, phi2, p + eps * v1)
-              - directional_theta(chain, KL, phi2, p - eps * v1)) / (2 * eps)
+
+        def dtheta(q):
+            geo = PointGeometry(chain, KL, q)
+            return edge_matrix(chain, geo.dtheta(geo.velocity(phi2))[None])
+
+        fd = (dtheta(p + eps * v1) - dtheta(p - eps * v1)) / (2 * eps)
         sd = second_directional(chain, KL, phi1, phi2, p)
         assert_allclose(sd.theta_second, fd, atol=1e-6 * (1 + abs(fd).max()))
 
@@ -73,10 +76,9 @@ def test_second_directional_internal_identities():
                             atol=1e-13 * scale)
             # reassemble m from its two directional-theta pieces
             d1 = model.d1_matrix(chain, p)
-            n12 = contract_d1(d1, response_matrix(
-                chain, directional_theta(chain, model, phi1, p)) @ phi2)
-            n21 = contract_d1(d1, response_matrix(
-                chain, directional_theta(chain, model, phi2, p)) @ phi1)
+            geo = PointGeometry(chain, model, p)
+            n12 = contract_d1(d1, geo.dL(phi1) @ phi2)
+            n21 = contract_d1(d1, geo.dL(phi2) @ phi1)
             assert_allclose(sd.m, -2.0 * sd.W - n12 - n21, atol=1e-12 * scale)
 
 
@@ -276,3 +278,15 @@ def test_report_at_ten_states():
     ric, scal = ricci_scalar(chain, KL, p)
     assert_allclose(ric, rep.ricci, rtol=0, atol=1e-12 * abs(rep.ricci).max())
     assert scal == pytest.approx(rep.scalar, rel=1e-12)
+
+
+def test_curvature_entry_points_check_their_potentials():
+    phi = np.array([0.1, 0.0, -0.1])
+    psi = np.array([0.0, 0.1, -0.1])
+    for bad, message in (([np.nan, 0.0, 0.0], "non-finite"), ([0.1, -0.1], "3 entries")):
+        with pytest.raises(ValueError, match=message):
+            sectional(LATTICE, KL, bad, psi, UNIFORM)
+        with pytest.raises(ValueError, match=message):
+            riemann(LATTICE, KL, phi, psi, phi, bad, UNIFORM)
+        with pytest.raises(ValueError, match=message):
+            second_directional(LATTICE, KL, phi, bad, UNIFORM)

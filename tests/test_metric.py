@@ -20,7 +20,6 @@ from onsagergeo import (
     frame_potentials,
     geodesic_ivp,
     inner_product,
-    inner_product_edges,
     lattice3_chain,
     mean_zero,
     orthonormal_frame,
@@ -38,6 +37,7 @@ from onsagergeo.acceptance import (
 )
 from onsagergeo.connection import PointGeometry
 from onsagergeo.metric import curve_velocity, metric_action
+from oracles import inner_product_edges
 
 LATTICE = lattice3_chain()
 KL = KLLogMean()
@@ -209,6 +209,8 @@ def test_arc_length_edge_cases():
         0.0, abs=1e-14)
     with pytest.raises(ValueError, match="strictly increasing"):
         arc_length(LATTICE, KL, np.array([0.0, 0.5, 0.5]), const[:3])
+    with pytest.raises(ValueError, match=r"states must have shape \(10, 3\)"):
+        arc_length(LATTICE, KL, np.linspace(0, 1, 10), const)
 
 
 def test_geodesic_arc_length_is_speed_times_duration():

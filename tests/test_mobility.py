@@ -12,21 +12,15 @@ from onsagergeo import (
     KLLogMean,
     NoDivergenceDefined,
     NonconvexF,
-    UnsupportedVertex,
     as_simplex_point,
     check_interior,
-    constant_mobility,
-    f_divergence,
-    f_divergence_gradient,
     lattice3_chain,
     model_from_spec,
-    theta,
-    theta_partial,
-    theta_second_partial,
     triangle_reaction_chain,
 )
 from onsagergeo.acceptance import random_interior_point, random_reversible_chain
 from onsagergeo.mobility import DELTA_RATIO, _DivergenceMean
+from oracles import constant_mobility
 
 LATTICE = lattice3_chain()
 TRIANGLE = triangle_reaction_chain()
@@ -39,13 +33,13 @@ MODEL_IDS = ["kl", "alpha-1", "alpha0", "alpha2", "geometric"]
 @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
 def test_theta_is_one_at_stationary(model):
     for chain in (LATTICE, TRIANGLE):
-        t = theta(model, chain, chain.pi)
+        t = model.theta_matrix(chain, chain.pi)
         assert_allclose(t[chain.edge_mask], 1.0, atol=1e-12)
 
 
 def test_scaled_log_mean_formula():
     model = KLLogMean(convention="scaled", c=3.0)
-    t = theta(model, LATTICE, np.array([0.5, 0.3, 0.2]))
+    t = model.theta_matrix(LATTICE, np.array([0.5, 0.3, 0.2]))
     # logarithmic mean of the scaled densities (1.5, 0.9, 0.6)
     assert t[0, 1] == pytest.approx(0.6 / np.log(5.0 / 3.0), rel=1e-14)
     assert t[0, 1] == pytest.approx(1.1745691133827305, rel=1e-13)
@@ -218,13 +212,13 @@ def test_nonconvex_family_rejected():
                          ids=["kl", "alpha-1", "alpha2"])
 def test_divergence_vanishes_at_reference(model):
     for chain in (LATTICE, TRIANGLE):
-        assert f_divergence(model, chain, chain.pi) == pytest.approx(0.0, abs=1e-14)
-        g = f_divergence_gradient(model, chain, chain.pi)
+        assert model.divergence(chain, chain.pi) == pytest.approx(0.0, abs=1e-14)
+        g = model.divergence_gradient(chain, chain.pi)
         assert_allclose(g, g[0], atol=1e-14)  # constant vector, killed by L
 
 
 def test_kl_divergence_frozen_value():
-    d = f_divergence(KLLogMean(), LATTICE, np.array([0.5, 0.3, 0.2]))
+    d = KLLogMean().divergence(LATTICE, np.array([0.5, 0.3, 0.2]))
     assert d == pytest.approx(0.06895927460353615, rel=1e-14)
 
 
@@ -238,10 +232,10 @@ def test_divergence_gradient_matches_fd():
             p = random_interior_point(rng, n, floor=0.01)
             delta = rng.normal(size=n)
             delta -= delta.mean()
-            fd = (f_divergence(model, chain, p + eps * delta)
-                  - f_divergence(model, chain, p - eps * delta)) / (2 * eps)
+            fd = (model.divergence(chain, p + eps * delta)
+                  - model.divergence(chain, p - eps * delta)) / (2 * eps)
             assert fd == pytest.approx(
-                float(f_divergence_gradient(model, chain, p) @ delta), abs=1e-7)
+                float(model.divergence_gradient(chain, p) @ delta), abs=1e-7)
 
 
 def test_geometric_mean_has_no_divergence():
@@ -249,26 +243,9 @@ def test_geometric_mean_has_no_divergence():
     assert not model.has_divergence
     assert KLLogMean().has_divergence
     with pytest.raises(NoDivergenceDefined):
-        f_divergence(model, LATTICE, np.array([0.5, 0.3, 0.2]))
+        model.divergence(LATTICE, np.array([0.5, 0.3, 0.2]))
     with pytest.raises(NoDivergenceDefined):
-        f_divergence_gradient(model, LATTICE, np.array([0.5, 0.3, 0.2]))
-
-
-def test_partial_wrapper_picks_the_right_slot():
-    model = KLLogMean()
-    p = np.array([0.5, 0.3, 0.2])
-    d1 = model.d1_matrix(LATTICE, p)
-    assert theta_partial(model, LATTICE, p, (0, 1), 0) == d1[0, 1]
-    assert theta_partial(model, LATTICE, p, (0, 1), 1) == d1[1, 0]
-    with pytest.raises(UnsupportedVertex):
-        theta_partial(model, LATTICE, p, (0, 1), 2)
-
-    s_ii, s_ij = model.d2_matrices(LATTICE, p)
-    assert theta_second_partial(model, LATTICE, p, (0, 1), (0, 0)) == s_ii[0, 1]
-    assert theta_second_partial(model, LATTICE, p, (0, 1), (1, 1)) == s_ii[1, 0]
-    assert theta_second_partial(model, LATTICE, p, (0, 1), (0, 1)) == s_ij[0, 1]
-    with pytest.raises(UnsupportedVertex):
-        theta_second_partial(model, LATTICE, p, (0, 1), (0, 2))
+        model.divergence_gradient(LATTICE, np.array([0.5, 0.3, 0.2]))
 
 
 def test_custom_mean_fd_matches_analytic():
@@ -293,10 +270,10 @@ def test_custom_mean_divergence_triple():
     )
     assert custom.has_divergence
     p = np.array([0.5, 0.3, 0.2])
-    assert f_divergence(custom, LATTICE, p) == pytest.approx(
-        f_divergence(kl, LATTICE, p), rel=1e-14)
-    assert_allclose(f_divergence_gradient(custom, LATTICE, p),
-                    f_divergence_gradient(kl, LATTICE, p), atol=1e-14)
+    assert custom.divergence(LATTICE, p) == pytest.approx(
+        kl.divergence(LATTICE, p), rel=1e-14)
+    assert_allclose(custom.divergence_gradient(LATTICE, p),
+                    kl.divergence_gradient(LATTICE, p), atol=1e-14)
     assert_allclose(custom.divergence_hessian_diag(LATTICE, p),
                     kl.divergence_hessian_diag(LATTICE, p), atol=1e-14)
 
@@ -309,7 +286,7 @@ def test_constant_mobility_is_flat():
     s_ii, s_ij = model.d2_matrices(LATTICE, p)
     assert np.abs(s_ii).max() < 1e-6 and np.abs(s_ij).max() < 1e-6
     with pytest.raises(NoDivergenceDefined):
-        f_divergence(model, LATTICE, p)
+        model.divergence(LATTICE, p)
 
 
 def test_model_from_spec():
